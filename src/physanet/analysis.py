@@ -129,8 +129,8 @@ def certificate(instance: Instance, x: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     nrm = lambda_norms(solution, DynamicsKind.TWO_NORM)
-    qnorm = np.sqrt((solution.Q ** 2).sum(axis=1))
-    primal = float(instance.c @ qnorm)
+    # ||Q_e||_2 = x_e ||Lambda_e||_2 at the solution's capacities.
+    primal = float(instance.c @ (solution.x * nrm))
     energy = float(solution.energy_per_commodity.sum())
     lyap = 0.5 * (network_cost(instance, x) + energy)
     worst = float(nrm.max()) if nrm.size else 0.0

@@ -216,18 +216,20 @@ def lambda_norms(solution: FlowSolution, kind: DynamicsKind) -> np.ndarray:
     dynamics, 2-norm for everything else."""
     if kind == DynamicsKind.ONE_NORM:
         return np.abs(solution.Lambda).sum(axis=1)
-    return np.sqrt((solution.Lambda ** 2).sum(axis=1))
+    return np.sqrt(solution.lambda_sq_norms)
 
 
 def rhs(instance: Instance, x: np.ndarray, solution: FlowSolution,
-        spec: DynamicsSpec) -> np.ndarray:
-    """Time derivative of the capacities under the selected dynamics."""
+        spec: DynamicsSpec, *, norms: np.ndarray | None = None) -> np.ndarray:
+    """Time derivative of the capacities under the selected dynamics.
+
+    ``norms`` may pass in ``lambda_norms(solution, spec.kind)`` when the
+    caller already has it.
+    """
     x = np.asarray(x, dtype=float)
     kind = spec.kind
-    if kind == DynamicsKind.ONE_NORM:
-        return x * (lambda_norms(solution, kind) - 1.0)
-    nrm = lambda_norms(solution, DynamicsKind.TWO_NORM)
-    if kind == DynamicsKind.TWO_NORM:
+    nrm = lambda_norms(solution, kind) if norms is None else norms
+    if kind in (DynamicsKind.ONE_NORM, DynamicsKind.TWO_NORM):
         return x * (nrm - 1.0)
     if kind == DynamicsKind.GENERALIZED:
         return x * (spec.g(nrm) - 1.0)
@@ -244,20 +246,21 @@ def euler_step(x: np.ndarray, xdot: np.ndarray, h: float,
 
 
 def fixed_point_residual(instance: Instance, x: np.ndarray,
-                         solution: FlowSolution, spec: DynamicsSpec) -> float:
+                         solution: FlowSolution, spec: DynamicsSpec, *,
+                         norms: np.ndarray | None = None) -> float:
     """Distance from the fixed-point condition "x_e = 0 or unit drop".
 
     Per edge the score is ``min(c_e * x_e, c_e * |target - 1|)`` where the
     target is ``||Lambda_e||`` in the matching norm (for the beta dynamics:
     ``x^(beta-1) * ||Lambda_e||_2^2``, whose unit value characterizes its
     fixed points).  The min lets edges parked at the capacity floor count
-    as converged.
+    as converged.  ``norms`` may pass in ``lambda_norms(solution,
+    spec.kind)`` when the caller already has it.
     """
     x = np.asarray(x, dtype=float)
+    target = lambda_norms(solution, spec.kind) if norms is None else norms
     if spec.kind == DynamicsKind.BETA:
-        target = x ** (spec.beta - 1.0) * lambda_norms(solution, DynamicsKind.TWO_NORM) ** 2
-    else:
-        target = lambda_norms(solution, spec.kind)
+        target = x ** (spec.beta - 1.0) * target ** 2
     per_edge = np.minimum(instance.c * x, instance.c * np.abs(target - 1.0))
     return float(per_edge.max()) if per_edge.size else 0.0
 
@@ -268,12 +271,6 @@ def _cost_term(instance: Instance, x: np.ndarray, spec: DynamicsSpec) -> float:
         b = spec.beta
         return float(instance.c @ x ** (2.0 - b)) / (2.0 - b)
     return float(instance.c @ x)
-
-
-def _lyapunov_value(instance: Instance, x: np.ndarray, energy: float,
-                    spec: DynamicsSpec) -> float:
-    """The monotone functional matching the dynamics kind."""
-    return 0.5 * (_cost_term(instance, x, spec) + energy)
 
 
 def run(instance: Instance, x0, spec: DynamicsSpec,
@@ -320,11 +317,14 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
             traj.message = f"step {step}: {exc}"
             traj.steps = step
             return traj
-        warm = sol.P
+        if solver == "cg":
+            warm = sol.G
         energy = float(sol.energy_per_commodity.sum())
         cost = network_cost(instance, x)
-        lyap = _lyapunov_value(instance, x, energy, spec)
-        residual = fixed_point_residual(instance, x, sol, spec)
+        cost_term = _cost_term(instance, x, spec)
+        lyap = 0.5 * (cost_term + energy)
+        norms = lambda_norms(sol, spec.kind)
+        residual = fixed_point_residual(instance, x, sol, spec, norms=norms)
         if bound is None:
             bound = 2.0 * lyap
 
@@ -343,18 +343,17 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
                 residual=residual, gap=gap, slack_from_prev=slack_accum,
                 flow_ratio=ratio))
             slack_accum = 0.0
-            if diag.check_bounded and \
-                    _cost_term(instance, x, spec) > bound * (1.0 + 1e-9):
-                raise DivergenceError(
-                    f"step {step}: cost term {_cost_term(instance, x, spec):.6g} "
-                    f"exceeds bounded-domain limit {bound:.6g}")
+        if diag.check_bounded and cost_term > bound * (1.0 + 1e-9):
+            raise DivergenceError(
+                f"step {step}: cost term {cost_term:.6g} "
+                f"exceeds bounded-domain limit {bound:.6g}")
         if done:
             traj.status = (TerminalStatus.CONVERGED
                            if residual <= spec.stop_tol else TerminalStatus.MAX_STEPS)
             traj.steps = step
             return traj
 
-        xdot = rhs(instance, x, sol, spec)
+        xdot = rhs(instance, x, sol, spec, norms=norms)
         # Second-order Euler error allowance for the Lyapunov decrease.
         curvature = float((instance.c / x).max()) if x.size else 0.0
         slack_accum += 1e-10 * abs(lyap) + spec.h ** 2 * float(xdot @ xdot) * curvature

@@ -18,7 +18,7 @@ def single_edge():
 
 
 def random_graph_instance(rng: np.random.Generator, n_max: int = 8,
-                          k_max: int = 3) -> pn.Instance:
+                          k_max: int = 3, k_min: int = 1) -> pn.Instance:
     """Random connected graph with float costs (ties have measure zero)."""
     n = int(rng.integers(3, n_max + 1))
     nodes = [f"v{i}" for i in range(n)]
@@ -30,7 +30,7 @@ def random_graph_instance(rng: np.random.Generator, n_max: int = 8,
         u, v = rng.integers(0, n, size=2)
         if u != v:
             edges.append((nodes[int(u)], nodes[int(v)], float(rng.uniform(0.5, 2.0))))
-    k = int(rng.integers(1, k_max + 1))
+    k = int(rng.integers(k_min, k_max + 1))
     demands = []
     while len(demands) < k:
         u, v = rng.choice(n, size=2, replace=False)

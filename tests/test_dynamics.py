@@ -7,7 +7,7 @@ import pytest
 
 import physanet as pn
 from physanet.dynamics import DynamicsKind, GFunction
-from physanet.errors import ScenarioError
+from physanet.errors import DivergenceError, ScenarioError
 
 from conftest import random_graph_instance
 
@@ -214,3 +214,35 @@ def test_trajectory_csv_schema(ring, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,lyapunov,cost,energy,residual,gap,x_a-b,x_b-c,x_c-a"
     assert len(lines) == 1 + len(traj.records)
+
+
+def test_divergence_caught_at_the_step_it_happens(ring, monkeypatch):
+    # a right-hand side that grows x leaves the bounded domain within a few
+    # steps; the check must not wait for the next record point
+    def growing(instance, x, solution, spec, **kwargs):
+        return np.asarray(x, dtype=float)
+
+    monkeypatch.setattr(pn.dynamics, "rhs", growing)
+    spec = pn.DynamicsSpec(kind=K.TWO_NORM, h=0.5, max_steps=10_000)
+    with pytest.raises(DivergenceError, match=r"^step (\d+):") as err:
+        pn.run(ring.instance, np.ones(3), spec,
+               pn.DiagnosticsConfig(record_every=2000))
+    assert 0 < int(err.value.args[0].split()[1].rstrip(":")) < 10
+
+
+def test_run_computes_edge_norms_once_per_step(ring, monkeypatch):
+    calls = []
+    original = pn.dynamics.lambda_norms
+
+    def counted(solution, kind):
+        calls.append(kind)
+        return original(solution, kind)
+
+    monkeypatch.setattr(pn.dynamics, "lambda_norms", counted)
+    for kind in (K.TWO_NORM, K.ONE_NORM):
+        calls.clear()
+        spec = pn.DynamicsSpec(kind=kind, h=0.05, max_steps=40, stop_tol=1e-12)
+        traj = pn.run(ring.instance, ring.sample_x0(seed=3), spec,
+                      pn.DiagnosticsConfig(record_every=100))
+        assert traj.steps == 40
+        assert calls == [kind] * 41

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import gc
 import math
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import physanet as pn
 from physanet.errors import SolverError
@@ -31,6 +36,26 @@ def test_sparse_and_dense_assembly_agree(ring):
     Ld = pn.assemble_laplacian(ring.instance, x)
     Ls = pn.assemble_laplacian(ring.instance, x, sparse=True)
     assert np.allclose(Ld, Ls.toarray())
+
+
+def test_grounded_assembly_is_principal_submatrix():
+    # parallel edges share pattern slots; both groundings, both formats
+    rng = np.random.default_rng(11)
+    inst = pn.graph_instance(["a", "b", "c", "d"],
+                             [("a", "b", 1.0), ("a", "b", 2.0), ("b", "c", 0.5),
+                              ("c", "d", 1.5), ("d", "a", 1.0)],
+                             [pn.DemandSpec("a", "c", 1.0)])
+    raw = pn.Instance(A=inst.A.copy(), c=inst.c.copy(), B=inst.B.copy())
+    x = rng.uniform(0.2, 2.0, size=inst.m)
+    full = pn.assemble_laplacian(inst, x)
+    for case in (inst, raw):
+        for variant in (0, 1):
+            plan = pn.default_grounding(case, variant)
+            keep = np.setdiff1d(np.arange(case.n), plan.nodes)
+            dense = pn.assemble_laplacian(case, x, grounding=plan)
+            sparse = pn.assemble_laplacian(case, x, sparse=True, grounding=plan)
+            assert np.allclose(dense, full[np.ix_(keep, keep)], rtol=1e-15, atol=0)
+            assert np.array_equal(sparse.toarray(), dense)
 
 
 def test_single_edge_solve(single_edge):
@@ -84,11 +109,12 @@ def test_grounding_independence():
 
 
 def test_grounded_solution_unique(ring):
-    # same grounding from cold and warm starts gives the same potentials
+    # same grounding from cold and warm starts gives the same potentials;
+    # the warm start is in basis coordinates
     x = np.array([0.5, 1.0, 1.5])
     plan = pn.default_grounding(ring.instance)
     s0 = pn.solve_commodities(ring.instance, x, grounding=plan, solver="cg")
-    warm = s0.P + 0.0
+    warm = s0.G + 0.0
     s1 = pn.solve_commodities(ring.instance, x, grounding=plan, solver="cg",
                               warm_start=warm)
     s2 = pn.solve_commodities(ring.instance, x, grounding=plan, solver="dense")
@@ -211,3 +237,127 @@ def test_general_matrix_dynamics_run():
     traj = pn.run(inst, np.array([4.0]), spec)
     assert traj.status == pn.TerminalStatus.CONVERGED
     assert np.isclose(traj.final_x[0], 1.0, rtol=1e-5)
+
+
+TOKYO = Path(__file__).resolve().parents[1] / "scenarios" / "tokyo_like_synthetic.json"
+
+
+def test_solved_instance_is_freed():
+    scen = pn.ring_scenario()
+    pn.solve_commodities(scen.instance, np.ones(3))
+    ref = weakref.ref(scen.instance)
+    del scen
+    gc.collect()
+    assert ref() is None
+
+
+def test_shared_terminals_solve_in_basis_and_match_explicit_residual():
+    # 93 demands over 20 terminals: 19 basis columns; the Gram-matrix
+    # residual equals the one of the expanded n x k potentials
+    inst = pn.load_scenario(TOKYO).instance
+    x = np.random.default_rng(5).uniform(0.01, 1.0, size=inst.m)
+    sol = pn.solve_commodities(inst, x)
+    assert sol.G.shape == (inst.n, 19) and inst.k == 93
+    L = pn.assemble_laplacian(inst, x)
+    explicit = np.linalg.norm(L @ sol.P - inst.B, axis=0) / np.linalg.norm(inst.B, axis=0)
+    assert np.abs(sol.residuals - explicit).max() <= 1e-14
+    assert np.allclose(sol.lambda_sq_norms, (sol.Lambda ** 2).sum(axis=1),
+                       rtol=1e-12, atol=0)
+
+
+def test_cg_runs_the_grid_window_like_splu():
+    # the inner CG stops below solve_tol, so the full-system check passes
+    scen = pn.load_scenario(TOKYO)
+    spec = pn.DynamicsSpec(kind=pn.DynamicsKind.TWO_NORM, h=0.5, max_steps=30,
+                           stop_tol=1e-6)
+    finals = {}
+    for solver in ("splu", "cg"):
+        traj = pn.run(scen.instance, scen.sample_x0(seed=0), spec,
+                      pn.DiagnosticsConfig(record_every=100), solver=solver)
+        assert traj.status == pn.TerminalStatus.MAX_STEPS, traj.message
+        assert traj.steps == 30
+        finals[solver] = traj.final.lyapunov
+    assert abs(finals["cg"] - finals["splu"]) <= 1e-10 * finals["splu"]
+
+
+def _pseudo_inverse_oracle(inst, x):
+    """Flows, energies and potentials from the Moore-Penrose pseudo-inverse
+    of L(x), in 40-digit arithmetic.
+
+    The graphs are connected, so Ker L = span(1) and L^+ = (L + J/n)^-1 - J/n.
+    Double precision is not enough for an oracle here: with capacities over
+    ten decades a float64 pseudo-inverse misses the flows by up to 1e-6.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        n, m, k = inst.n, inst.m, inst.k
+        A = mpmath.matrix(inst.A.tolist())
+        w = mpmath.diag([mpmath.mpf(float(v)) for v in x / inst.c])
+        J = mpmath.ones(n, n) / n
+        P = (mpmath.inverse(A * w * A.T + J) - J) * mpmath.matrix(inst.B.tolist())
+        drops = A.T * P
+        Q = np.array([[float(w[e, e] * drops[e, i]) for i in range(k)] for e in range(m)])
+        energy = np.array([float(sum(inst.B[j, i] * P[j, i] for j in range(n)))
+                           for i in range(k)])
+        spread = max(float(max(P[j, i] for j in range(n)) - min(P[j, i] for j in range(n)))
+                     / float(np.abs(inst.B[:, i]).max()) for i in range(k))
+    return Q, energy, spread
+
+
+def _solve_or_ill_conditioned(inst, x, spread, variant=0):
+    """Solve, or return None when the state is beyond double precision.
+
+    With a cut of floor-level capacities the potentials span ~1e8 times the
+    demand and no double-precision solve reaches a 1e-10 residual; every
+    SolverError must come from such a state.
+    """
+    try:
+        return pn.solve_commodities(inst, x, grounding=pn.default_grounding(inst, variant))
+    except SolverError:
+        assert spread >= 1e3
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(["shared-terminals", "general-matrix", "rank-k"]))
+def test_basis_solve_matches_pseudo_inverse_oracle(seed, shape):
+    rng = np.random.default_rng(seed)
+    if shape == "rank-k":
+        inst = random_graph_instance(rng, k_max=1)
+    else:  # more demands than nodes, so terminals repeat
+        inst = random_graph_instance(rng, n_max=6, k_min=7, k_max=10)
+    if shape == "general-matrix":
+        inst = pn.Instance(A=inst.A.copy(), c=inst.c.copy(), B=inst.B.copy())
+    x = 10.0 ** rng.uniform(-9, 1, size=inst.m)
+    Q, energy, spread = _pseudo_inverse_oracle(inst, x)
+    sol = _solve_or_ill_conditioned(inst, x, spread)
+    if sol is None:
+        return
+    assert (sol.G.shape[1] < inst.k) == (shape == "shared-terminals")
+
+    def close(a, b, rtol=1e-9):
+        assert np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+    close(sol.energy_per_commodity, energy)
+    close(sol.Q, Q)
+    # Squared norms in the per-edge energy scale c_e x_e ||Lambda_e||^2:
+    # drops on floor-capacity edges carry the rounding of potentials ~1e8.
+    close(inst.c * x * sol.lambda_sq_norms, inst.c * (Q ** 2).sum(axis=1) / x)
+    close(sol.lambda_sq_norms, (sol.Lambda ** 2).sum(axis=1), rtol=1e-12)
+
+    w = x / inst.c
+    drops = inst.A.T @ sol.P
+    explicit = (np.linalg.norm(inst.A @ (w[:, None] * drops) - inst.B, axis=0)
+                / np.linalg.norm(inst.B, axis=0))
+    assert sol.residuals.max() <= pn.electrical.DEFAULT_SOLVE_TOL
+    # forming P = G W rounds; at ~1e8 potentials that alone moves the
+    # explicit residual by a few 1e-10
+    assert np.abs(sol.residuals - explicit).max() <= 1e-9
+    close(np.einsum("nk,nk->k", inst.B, sol.P),
+          np.einsum("ek,ek->k", drops, w[:, None] * drops))
+
+    other = _solve_or_ill_conditioned(inst, x, spread, variant=1)
+    if other is not None:
+        close(other.Q, sol.Q)
+        close(other.energy_per_commodity, sol.energy_per_commodity)
