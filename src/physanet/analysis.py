@@ -92,8 +92,7 @@ def beta_lyapunov(instance: Instance, x: np.ndarray, solution: FlowSolution,
 
 
 def finite_difference_gradient(instance: Instance, x: np.ndarray, eps: float,
-                               beta: float | None = None,
-                               solver: str = "auto") -> np.ndarray:
+                               beta: float | None = None) -> np.ndarray:
     """Central differences of the (beta-)Lyapunov value, one edge at a time.
 
     Serves as the independent oracle for the analytic gradient formulas.
@@ -103,7 +102,7 @@ def finite_difference_gradient(instance: Instance, x: np.ndarray, eps: float,
         raise ScenarioError("x must exceed eps in every coordinate")
 
     def value(xv: np.ndarray) -> float:
-        sol = solve_commodities(instance, xv, solver=solver)
+        sol = solve_commodities(instance, xv)
         if beta is None:
             return lyapunov(instance, xv, sol).value
         return beta_lyapunov(instance, xv, sol, beta).value
@@ -155,7 +154,6 @@ class BruteForceConfig:
     hi: float | None = None
     points: int = 9
     refine_passes: int = 60
-    solver: str = "auto"
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 80):
@@ -177,8 +175,8 @@ def _golden_min(f, lo: float, hi: float, iters: int = 80):
     return mid, f(mid)
 
 
-def _lyapunov_at(instance: Instance, x: np.ndarray, solver: str) -> float:
-    sol = solve_commodities(instance, x, solver=solver)
+def _lyapunov_at(instance: Instance, x: np.ndarray) -> float:
+    sol = solve_commodities(instance, x)
     return 0.5 * (network_cost(instance, x) + float(sol.energy_per_commodity.sum()))
 
 
@@ -198,8 +196,7 @@ def min_lyapunov_search(instance: Instance,
     ones = np.ones(instance.m)
 
     if mode == "symmetric":
-        z, val = _golden_min(lambda z: _lyapunov_at(instance, z * ones, cfg.solver),
-                             cfg.lo, hi)
+        z, val = _golden_min(lambda z: _lyapunov_at(instance, z * ones), cfg.lo, hi)
         return val, z * ones
     if mode != "full":
         raise ScenarioError(f"unknown brute-force mode {mode!r}")
@@ -211,7 +208,7 @@ def min_lyapunov_search(instance: Instance,
     mesh = np.meshgrid(*([grid] * instance.m), indexing="ij")
     for point in zip(*(g.ravel() for g in mesh)):
         xv = np.array(point)
-        val = _lyapunov_at(instance, xv, cfg.solver)
+        val = _lyapunov_at(instance, xv)
         if val < best:
             best, best_x = val, xv
     x = best_x.copy()
@@ -221,7 +218,7 @@ def min_lyapunov_search(instance: Instance,
             def along(z, j=j):
                 xv = x.copy()
                 xv[j] = z
-                return _lyapunov_at(instance, xv, cfg.solver)
+                return _lyapunov_at(instance, xv)
             zj, val = _golden_min(along, cfg.lo, hi, iters=40)
             if val < best:
                 best = val

@@ -45,7 +45,7 @@ def _add_dynamics_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--record-gap", action="store_true",
                         help="include the duality gap in trajectory records")
     parser.add_argument("--solver", default="auto",
-                        choices=["auto", "dense", "splu", "cg"])
+                        choices=["auto", "dense", "splu"])
     parser.add_argument("--solve-tol", type=float, default=1e-10)
 
 

@@ -302,7 +302,6 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
     b1_safe = np.where(b1 > 0, b1, 1.0)
     is_incidence = instance.is_incidence
 
-    warm = None
     bound = None
     slack_accum = 0.0
     step = 0
@@ -310,15 +309,12 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
         t = step * spec.h
         try:
             sol = solve_commodities(instance, x, grounding=plan,
-                                    solve_tol=solve_tol, solver=solver,
-                                    warm_start=warm)
+                                    solve_tol=solve_tol, solver=solver)
         except SolverError as exc:
             traj.status = TerminalStatus.SOLVER_FAILURE
             traj.message = f"step {step}: {exc}"
             traj.steps = step
             return traj
-        if solver == "cg":
-            warm = sol.G
         energy = float(sol.energy_per_commodity.sum())
         cost = network_cost(instance, x)
         cost_term = _cost_term(instance, x, spec)

@@ -31,13 +31,13 @@ from .model import Instance
 DEFAULT_SOLVE_TOL = 1e-10
 
 # Direct factorizations stay accurate when capacities span ten orders of
-# magnitude (edges parked at the floor), which stalls iterative solvers;
-# dense Cholesky for small systems, sparse LU for large incidence systems,
-# Jacobi-preconditioned CG as the iterative option.
+# magnitude (edges parked at the floor).  "auto" takes dense Cholesky up to
+# this many nodes and for general matrices, sparse LU for larger incidence
+# systems; the crossover is a fixed guess, not a measured one.
 DENSE_SOLVER_MAX_N = 200
 
-# The factorizations and CG stop at this fraction of ``solve_tol`` so that
-# the per-commodity residual check after them passes with room to spare.
+# Iterative refinement stops at this fraction of ``solve_tol`` so that the
+# per-commodity residual check after it passes with room to spare.
 INNER_TOL_FACTOR = 0.1
 
 
@@ -175,16 +175,7 @@ class _Context:
     """
 
     def __init__(self, instance: Instance):
-        if instance.is_incidence:
-            m = instance.m
-            tails, heads = instance.edge_endpoints()
-            rows = np.concatenate([tails, heads])
-            cols = np.concatenate([np.arange(m), np.arange(m)])
-            data = np.concatenate([np.ones(m), -np.ones(m)])
-            self.A = sp.csr_matrix((data, (rows, cols)), shape=(instance.n, m))
-            self.AT = self.A.T.tocsr()
-        else:
-            self.A, self.AT = instance.A, instance.A.T
+        self.AT = instance.A.T.tocsr() if instance.is_incidence else instance.A.T
         self.U, self.W = _demand_basis(instance)
         self.b_scale = np.maximum(np.linalg.norm(instance.B, axis=0), 1e-300)
         self._systems: dict[tuple[int, ...], _GroundedSystem] = {}
@@ -203,16 +194,6 @@ def _context(instance: Instance) -> _Context:
         ctx = _Context(instance)
         object.__setattr__(instance, "_electrical_context", ctx)
     return ctx
-
-
-def _kernel_basis(instance: Instance) -> np.ndarray:
-    """Basis of Ker(A^T), which equals Ker(L(x)) for every x > 0."""
-    if instance.is_incidence:
-        labels = instance.components()
-        K = np.zeros((instance.n, labels.max() + 1))
-        K[np.arange(instance.n), labels] = 1.0
-        return K
-    return scipy.linalg.null_space(instance.A.T)
 
 
 def assemble_laplacian(instance: Instance, x: np.ndarray, *,
@@ -243,7 +224,8 @@ def default_grounding(instance: Instance, variant: int = 0) -> GroundingPlan:
             members = np.nonzero(labels == comp)[0]
             nodes.append(int(members[0] if variant == 0 else members[-1]))
         return GroundingPlan(nodes=tuple(sorted(nodes)))
-    K = _kernel_basis(instance)
+    # Ker(A^T) equals Ker(L(x)) for every x > 0.
+    K = scipy.linalg.null_space(instance.A.T)
     if K.shape[1] == 0:
         return GroundingPlan(nodes=())
     order = np.arange(instance.n) if variant == 0 else np.arange(instance.n)[::-1]
@@ -286,34 +268,6 @@ def _solve_direct(Lr, rhs: np.ndarray, solve_tol: float) -> np.ndarray:
     return X
 
 
-def _solve_cg(Lr: sp.csc_matrix, Br: np.ndarray, X0: np.ndarray,
-              rtol: float, max_iter: int) -> np.ndarray:
-    diag = Lr.diagonal()
-    minv = 1.0 / np.where(diag > 0, diag, 1.0)
-    X = X0.copy()
-    R = Br - Lr @ X
-    target = np.maximum(rtol * np.linalg.norm(Br, axis=0), 1e-300)
-    Z = minv[:, None] * R
-    Pd = Z.copy()
-    rz = np.einsum("ij,ij->j", R, Z)
-    for _ in range(max_iter):
-        active = np.linalg.norm(R, axis=0) > target
-        if not active.any():
-            break
-        Ap = Lr @ Pd
-        pAp = np.einsum("ij,ij->j", Pd, Ap)
-        safe = np.where(pAp != 0, pAp, 1.0)
-        alpha = np.where(active, rz / safe, 0.0)
-        X += alpha * Pd
-        R -= alpha * Ap
-        Z = minv[:, None] * R
-        rz_new = np.einsum("ij,ij->j", R, Z)
-        beta = np.where(active & (rz != 0), rz_new / np.where(rz != 0, rz, 1.0), 0.0)
-        Pd = Z + beta * Pd
-        rz = rz_new
-    return X
-
-
 def _quadratic_forms(W: np.ndarray, M: np.ndarray) -> np.ndarray:
     """``diag(W^T M W)``: one quadratic form per commodity."""
     return np.einsum("sk,sk->k", W, M @ W)
@@ -322,13 +276,13 @@ def _quadratic_forms(W: np.ndarray, M: np.ndarray) -> np.ndarray:
 def solve_commodities(instance: Instance, x: np.ndarray,
                       grounding: GroundingPlan | None = None,
                       solve_tol: float = DEFAULT_SOLVE_TOL,
-                      solver: str = "auto",
-                      warm_start: np.ndarray | None = None) -> FlowSolution:
+                      solver: str = "auto") -> FlowSolution:
     """Solve ``L(x) p_i = b_i`` for all commodities and derive flows.
 
     One factorization of the grounded Laplacian serves every column of the
-    demand basis.  ``warm_start`` (basis potentials ``G`` of an earlier
-    solution) seeds the ``cg`` solver and is ignored by the direct ones.
+    demand basis: dense Cholesky (``solver="dense"``) or sparse LU
+    (``"splu"``), each followed by the same iterative refinement; ``"auto"``
+    picks by size (see ``DENSE_SOLVER_MAX_N``).
 
     The returned quantities ``b^T p``, ``p^T L p`` and ``Q`` are independent
     of the grounding plan.  Raises :class:`SolverError` when the relative
@@ -344,7 +298,7 @@ def solve_commodities(instance: Instance, x: np.ndarray,
             solver = "dense"
         else:
             solver = "splu"
-    if solver not in ("dense", "splu", "cg"):
+    if solver not in ("dense", "splu"):
         raise ScenarioError(f"unknown solver {solver!r}")
 
     U, W = ctx.U, ctx.W
@@ -354,25 +308,14 @@ def solve_commodities(instance: Instance, x: np.ndarray,
                             energy_per_commodity=np.zeros(0),
                             residuals=np.zeros(0))
     system = ctx.system(inst, grounding)
-    rhs = system.rhs
-    Lr = assemble_laplacian(inst, x, sparse=solver != "dense",
+    Lr = assemble_laplacian(inst, x, sparse=solver == "splu",
                             grounding=grounding)
-    if solver == "cg":
-        X0 = np.zeros(rhs.shape)
-        if warm_start is not None:
-            warm = np.asarray(warm_start, dtype=float)
-            if warm.shape != G.shape:
-                raise ScenarioError(f"warm_start must have shape {G.shape}")
-            X0 = warm[system.keep]
-        G[system.keep] = _solve_cg(Lr, rhs, X0, INNER_TOL_FACTOR * solve_tol,
-                                   max(10 * inst.n, 50))
-    else:
-        G[system.keep] = _solve_direct(Lr, rhs, solve_tol)
+    G[system.keep] = _solve_direct(Lr, system.rhs, solve_tol)
 
     drops = ctx.AT @ G
     # B = U W, so L(x) P - B = R W with R = L(x) G - U; the per-commodity
     # residual norms follow from the small Gram matrix R^T R.
-    R = ctx.A @ ((x / inst.c)[:, None] * drops) - U
+    R = inst.A @ ((x / inst.c)[:, None] * drops) - U
     residuals = np.sqrt(np.maximum(_quadratic_forms(W, R.T @ R), 0.0)) / ctx.b_scale
     if np.any(residuals > solve_tol):
         worst = int(np.argmax(residuals))

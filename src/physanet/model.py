@@ -3,9 +3,11 @@
 An instance couples a real constraint matrix ``A`` (n x m), positive edge
 costs ``c`` (length m) and a matrix ``B`` (n x k) of demand right-hand
 sides.  In the graph setting ``A`` is the node-arc incidence matrix of an
-undirected graph and each column of ``B`` is ``amount * (+1 at source,
--1 at sink)``.  Everything downstream (electrical solves, dynamics,
-analysis) works on this container.
+undirected graph, stored as a read-only CSR matrix built from the edge
+endpoints (two nonzeros per column), and each column of ``B`` is
+``amount * (+1 at source, -1 at sink)``.  A general matrix ``A`` is kept
+dense.  Everything downstream (electrical solves, dynamics, analysis) works
+on this container.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InfeasibleDemandError, ScenarioError
 
@@ -36,17 +39,21 @@ class Instance:
     """Validated, immutable problem instance.
 
     ``edge_meta`` is present exactly when ``A`` is a node-arc incidence
-    matrix; it fixes the (arbitrary) edge orientation used throughout.
+    matrix; it fixes the (arbitrary) edge orientation used throughout.  Such
+    an ``A`` (dense or sparse) must equal the incidence matrix of
+    ``edge_meta`` and is stored as CSR; a general ``A`` is stored dense.
     """
 
-    A: np.ndarray
+    A: np.ndarray | sp.csr_matrix
     c: np.ndarray
     B: np.ndarray
     edge_meta: tuple[EdgeMeta, ...] | None = None
     node_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
+        incidence = self.edge_meta is not None
+        A = (sp.csr_matrix(self.A, dtype=float) if incidence
+             else np.asarray(self.A, dtype=float))
         c = np.asarray(self.c, dtype=float)
         B = np.asarray(self.B, dtype=float)
         if A.ndim != 2:
@@ -60,18 +67,22 @@ class Instance:
             B = B.reshape(n, 1)
         if B.shape[0] != n:
             raise ScenarioError(f"B must have {n} rows, got {B.shape[0]}")
-        if self.edge_meta is not None:
+        if incidence:
             if len(self.edge_meta) != m:
                 raise ScenarioError("edge_meta length must match number of edges")
-            _check_incidence(A, self.node_ids, self.edge_meta)
-        for arr, name in ((A, "A"), (B, "B")):
-            if np.any(~np.isfinite(arr)):
-                raise ScenarioError(f"{name} contains non-finite entries")
+            endpoints = _edge_endpoints(self.node_ids, self.edge_meta)
+            A = _check_incidence(A, _incidence_csr(len(self.node_ids), *endpoints))
+            object.__setattr__(self, "_endpoints", endpoints)
+        elif np.any(~np.isfinite(A)):
+            raise ScenarioError("A contains non-finite entries")
+        if np.any(~np.isfinite(B)):
+            raise ScenarioError("B contains non-finite entries")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "B", B)
         _check_feasible(self)
-        for arr in (self.A, self.c, self.B):
+        arrays = (A.data, A.indices, A.indptr) if incidence else (A,)
+        for arr in (*arrays, self.c, self.B):
             arr.setflags(write=False)
 
     @property
@@ -100,18 +111,9 @@ class Instance:
 
     def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Tail/head node indices per edge (incidence instances only)."""
-        if self.edge_meta is None or self.node_ids is None:
+        if self.edge_meta is None:
             raise ScenarioError("not an incidence instance")
-        cached = getattr(self, "_endpoints_cache", None)
-        if cached is None:
-            index = {v: i for i, v in enumerate(self.node_ids)}
-            tails = np.array([index[e.tail] for e in self.edge_meta], dtype=np.intp)
-            heads = np.array([index[e.head] for e in self.edge_meta], dtype=np.intp)
-            tails.setflags(write=False)
-            heads.setflags(write=False)
-            cached = (tails, heads)
-            object.__setattr__(self, "_endpoints_cache", cached)
-        return cached
+        return self._endpoints
 
     def edge_labels(self) -> list[str]:
         if self.edge_meta is not None:
@@ -178,19 +180,39 @@ def _components(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _check_incidence(A: np.ndarray, node_ids, edge_meta) -> None:
+def _edge_endpoints(node_ids, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tail/head node indices of ``(tail, head, ...)`` edges."""
     if node_ids is None:
         raise ScenarioError("incidence instances need node ids")
     index = {v: i for i, v in enumerate(node_ids)}
-    for j, meta in enumerate(edge_meta):
-        col = A[:, j]
-        nz = np.nonzero(col)[0]
-        if len(nz) != 2 or not np.isclose(col[nz].sum(), 0) or set(col[nz]) != {1.0, -1.0}:
-            raise ScenarioError(f"column {j} is not a valid incidence column")
-        if index.get(meta.tail) is None or index.get(meta.head) is None:
-            raise ScenarioError(f"edge {meta.label!r} references unknown nodes")
-        if col[index[meta.tail]] != 1.0 or col[index[meta.head]] != -1.0:
-            raise ScenarioError(f"edge {meta.label!r} disagrees with its incidence column")
+    if len(index) != len(node_ids):
+        raise ScenarioError("duplicate node ids")
+    for u, v, *_ in edges:
+        if u == v:
+            raise ScenarioError(f"self-loop on node {u!r} not allowed")
+        if u not in index or v not in index:
+            raise ScenarioError(f"edge ({u!r}, {v!r}) references unknown nodes")
+    tails = np.array([index[e[0]] for e in edges], dtype=np.intp)
+    heads = np.array([index[e[1]] for e in edges], dtype=np.intp)
+    tails.setflags(write=False)
+    heads.setflags(write=False)
+    return tails, heads
+
+
+def _incidence_csr(n: int, tails: np.ndarray, heads: np.ndarray) -> sp.csr_matrix:
+    m = tails.size
+    rows = np.concatenate([tails, heads])
+    cols = np.concatenate([np.arange(m), np.arange(m)])
+    data = np.concatenate([np.ones(m), -np.ones(m)])
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, m))
+
+
+def _check_incidence(A: sp.csr_matrix, expected: sp.csr_matrix) -> sp.csr_matrix:
+    """``expected`` if ``A`` equals it entry for entry, else ScenarioError."""
+    if A.shape != expected.shape or (A != expected).nnz:
+        raise ScenarioError(f"A ({A.shape[0]} x {A.shape[1]}) is not the incidence "
+                            "matrix of edge_meta over node_ids")
+    return expected
 
 
 def _check_feasible(instance: Instance) -> None:
@@ -218,24 +240,13 @@ def _check_feasible(instance: Instance) -> None:
 
 
 def incidence_of_graph(nodes: Sequence[str],
-                       edges: Sequence[tuple[str, str]]) -> np.ndarray:
-    """Node-arc incidence matrix: column +1 at the tail, -1 at the head.
+                       edges: Sequence[tuple[str, str]]) -> sp.csr_matrix:
+    """Node-arc incidence matrix (CSR): column +1 at the tail, -1 at the head.
 
     The orientation is taken from the listed (tail, head) order; self-loops
     are rejected since their column would be identically zero.
     """
-    index = {v: i for i, v in enumerate(nodes)}
-    if len(index) != len(nodes):
-        raise ScenarioError("duplicate node ids")
-    A = np.zeros((len(nodes), len(edges)))
-    for j, (u, v) in enumerate(edges):
-        if u == v:
-            raise ScenarioError(f"self-loop on node {u!r} not allowed")
-        if u not in index or v not in index:
-            raise ScenarioError(f"edge ({u!r}, {v!r}) references unknown nodes")
-        A[index[u], j] = 1.0
-        A[index[v], j] = -1.0
-    return A
+    return _incidence_csr(len(nodes), *_edge_endpoints(nodes, edges))
 
 
 def graph_instance(nodes: Sequence[str],

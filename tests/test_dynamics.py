@@ -191,9 +191,9 @@ def test_solver_choice_does_not_change_trajectory(ring):
     x0 = ring.sample_x0(seed=9)
     t_dense = pn.run(ring.instance, x0, spec,
                      pn.DiagnosticsConfig(record_every=100), solver="dense")
-    t_cg = pn.run(ring.instance, x0, spec,
-                  pn.DiagnosticsConfig(record_every=100), solver="cg")
-    assert np.abs(t_dense.final_x - t_cg.final_x).max() <= 1e-7
+    t_splu = pn.run(ring.instance, x0, spec,
+                    pn.DiagnosticsConfig(record_every=100), solver="splu")
+    assert np.abs(t_dense.final_x - t_splu.final_x).max() <= 1e-7
 
 
 def test_run_rejects_bad_x0(ring):

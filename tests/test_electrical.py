@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,7 +46,7 @@ def test_grounded_assembly_is_principal_submatrix():
                              [("a", "b", 1.0), ("a", "b", 2.0), ("b", "c", 0.5),
                               ("c", "d", 1.5), ("d", "a", 1.0)],
                              [pn.DemandSpec("a", "c", 1.0)])
-    raw = pn.Instance(A=inst.A.copy(), c=inst.c.copy(), B=inst.B.copy())
+    raw = pn.Instance(A=inst.A.toarray(), c=inst.c.copy(), B=inst.B.copy())
     x = rng.uniform(0.2, 2.0, size=inst.m)
     full = pn.assemble_laplacian(inst, x)
     for case in (inst, raw):
@@ -109,16 +110,11 @@ def test_grounding_independence():
 
 
 def test_grounded_solution_unique(ring):
-    # same grounding from cold and warm starts gives the same potentials;
-    # the warm start is in basis coordinates
+    # same grounding through both factorizations gives the same potentials
     x = np.array([0.5, 1.0, 1.5])
     plan = pn.default_grounding(ring.instance)
-    s0 = pn.solve_commodities(ring.instance, x, grounding=plan, solver="cg")
-    warm = s0.G + 0.0
-    s1 = pn.solve_commodities(ring.instance, x, grounding=plan, solver="cg",
-                              warm_start=warm)
+    s0 = pn.solve_commodities(ring.instance, x, grounding=plan, solver="splu")
     s2 = pn.solve_commodities(ring.instance, x, grounding=plan, solver="dense")
-    assert np.abs(s0.P - s1.P).max() <= 1e-8
     assert np.abs(s0.P - s2.P).max() <= 1e-8
 
 
@@ -141,7 +137,7 @@ def test_energy_minimality_gradient_orthogonal_to_circulations():
         inst = random_graph_instance(rng, k_max=1)
         x = rng.uniform(0.3, 2.0, size=inst.m)
         sol = pn.solve_commodities(inst, x)
-        kernel = scipy.linalg.null_space(inst.A)
+        kernel = scipy.linalg.null_space(inst.A.toarray())
         if kernel.size == 0:
             continue
         grad = (inst.c / x) * sol.Q[:, 0]
@@ -189,12 +185,10 @@ def test_solvers_cross_check_on_grid():
     inst = pn.instance_of_grid(grid, demands)
     rng = np.random.default_rng(0)
     x = rng.uniform(0.2, 1.5, size=inst.m)
-    sols = {s: pn.solve_commodities(inst, x, solver=s)
-            for s in ("dense", "splu", "cg")}
-    for s in ("splu", "cg"):
-        assert np.abs(sols[s].Q - sols["dense"].Q).max() <= 1e-7
-        assert np.abs(sols[s].energy_per_commodity
-                      - sols["dense"].energy_per_commodity).max() <= 1e-7
+    sols = {s: pn.solve_commodities(inst, x, solver=s) for s in ("dense", "splu")}
+    assert np.abs(sols["splu"].Q - sols["dense"].Q).max() <= 1e-7
+    assert np.abs(sols["splu"].energy_per_commodity
+                  - sols["dense"].energy_per_commodity).max() <= 1e-7
 
 
 def test_solver_failure_reports_residual(ring):
@@ -219,7 +213,7 @@ def test_general_matrix_matches_incidence_solution(ring):
     # same data passed as a raw matrix: kernel-basis grounding must produce
     # identical flows and energies
     inst = ring.instance
-    raw = pn.Instance(A=inst.A.copy(), c=inst.c.copy(), B=inst.B.copy())
+    raw = pn.Instance(A=inst.A.toarray(), c=inst.c.copy(), B=inst.B.copy())
     x = np.array([0.9, 0.4, 1.3])
     a = pn.solve_commodities(inst, x)
     for variant in (0, 1):
@@ -240,6 +234,29 @@ def test_general_matrix_dynamics_run():
 
 
 TOKYO = Path(__file__).resolve().parents[1] / "scenarios" / "tokyo_like_synthetic.json"
+
+
+def test_factor_entry_points(monkeypatch, ring):
+    # the grid factors through scipy.sparse.linalg.splu, the ring through
+    # scipy.linalg.cho_factor; both are looked up on their modules per call
+    calls = {"splu": 0, "cho_factor": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(scipy.sparse.linalg, "splu")
+    count(scipy.linalg, "cho_factor")
+    grid = pn.load_scenario(TOKYO).instance
+    pn.solve_commodities(grid, np.ones(grid.m))
+    assert calls == {"splu": 1, "cho_factor": 0}
+    pn.solve_commodities(ring.instance, np.ones(3))
+    assert calls == {"splu": 1, "cho_factor": 1}
 
 
 def test_solved_instance_is_freed():
@@ -265,19 +282,19 @@ def test_shared_terminals_solve_in_basis_and_match_explicit_residual():
                        rtol=1e-12, atol=0)
 
 
-def test_cg_runs_the_grid_window_like_splu():
-    # the inner CG stops below solve_tol, so the full-system check passes
+def test_dense_runs_the_grid_window_like_splu():
+    # both factorizations pass the full-system residual check on every step
     scen = pn.load_scenario(TOKYO)
     spec = pn.DynamicsSpec(kind=pn.DynamicsKind.TWO_NORM, h=0.5, max_steps=30,
                            stop_tol=1e-6)
     finals = {}
-    for solver in ("splu", "cg"):
+    for solver in ("splu", "dense"):
         traj = pn.run(scen.instance, scen.sample_x0(seed=0), spec,
                       pn.DiagnosticsConfig(record_every=100), solver=solver)
         assert traj.status == pn.TerminalStatus.MAX_STEPS, traj.message
         assert traj.steps == 30
         finals[solver] = traj.final.lyapunov
-    assert abs(finals["cg"] - finals["splu"]) <= 1e-10 * finals["splu"]
+    assert abs(finals["dense"] - finals["splu"]) <= 1e-10 * finals["splu"]
 
 
 def _pseudo_inverse_oracle(inst, x):
@@ -291,7 +308,7 @@ def _pseudo_inverse_oracle(inst, x):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         n, m, k = inst.n, inst.m, inst.k
-        A = mpmath.matrix(inst.A.tolist())
+        A = mpmath.matrix((inst.A.toarray() if inst.is_incidence else inst.A).tolist())
         w = mpmath.diag([mpmath.mpf(float(v)) for v in x / inst.c])
         J = mpmath.ones(n, n) / n
         P = (mpmath.inverse(A * w * A.T + J) - J) * mpmath.matrix(inst.B.tolist())
@@ -328,7 +345,7 @@ def test_basis_solve_matches_pseudo_inverse_oracle(seed, shape):
     else:  # more demands than nodes, so terminals repeat
         inst = random_graph_instance(rng, n_max=6, k_min=7, k_max=10)
     if shape == "general-matrix":
-        inst = pn.Instance(A=inst.A.copy(), c=inst.c.copy(), B=inst.B.copy())
+        inst = pn.Instance(A=inst.A.toarray(), c=inst.c.copy(), B=inst.B.copy())
     x = 10.0 ** rng.uniform(-9, 1, size=inst.m)
     Q, energy, spread = _pseudo_inverse_oracle(inst, x)
     sol = _solve_or_ill_conditioned(inst, x, spread)

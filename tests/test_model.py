@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import physanet as pn
 from physanet.errors import InfeasibleDemandError, ScenarioError
@@ -48,7 +50,7 @@ def test_demand_across_components_rejected():
 
 def test_incidence_of_graph_path():
     A = pn.incidence_of_graph(["u", "v", "w"], [("u", "v"), ("v", "w")])
-    assert np.array_equal(A, [[1, 0], [-1, 1], [0, -1]])
+    assert np.array_equal(A.toarray(), [[1, 0], [-1, 1], [0, -1]])
 
 
 def test_incidence_of_graph_triangle_column_sums():
@@ -151,7 +153,7 @@ def test_scenario_document_roundtrip(tmp_path):
     path = tmp_path / "bowtie.json"
     path.write_text(json.dumps(doc))
     again = pn.load_scenario(path)
-    assert np.array_equal(again.instance.A, scen.instance.A)
+    assert np.array_equal(again.instance.A.toarray(), scen.instance.A.toarray())
     assert np.array_equal(again.instance.B, scen.instance.B)
     assert np.array_equal(again.instance.c, scen.instance.c)
     assert again.terminals == scen.terminals
@@ -173,6 +175,51 @@ def test_duplicate_demands_are_distinct_commodities():
 def test_instance_arrays_read_only(ring):
     with pytest.raises(ValueError):
         ring.instance.c[0] = 5.0
+
+
+TOKYO = Path(__file__).resolve().parents[1] / "scenarios" / "tokyo_like_synthetic.json"
+
+
+def test_graph_instance_stores_read_only_csr(ring):
+    inst = pn.load_instance(TOKYO)
+    assert isinstance(inst.A, sp.csr_matrix)
+    assert inst.A.nnz == 2 * inst.m
+    with pytest.raises(ValueError):
+        inst.A.data[0] = 5.0
+    raw = pn.Instance(A=ring.instance.A.toarray(), c=ring.instance.c, B=ring.instance.B)
+    assert type(raw.A) is np.ndarray
+
+
+def _triangle_parts():
+    inst = pn.load_instance(TRIANGLE_DOC)
+    return inst.A.toarray(), inst.c, inst.B, list(inst.edge_meta), inst.node_ids
+
+
+def test_incidence_matrix_given_with_edge_meta_is_stored_as_csr():
+    A, c, B, meta, nodes = _triangle_parts()
+    for given in (A, sp.csc_matrix(A)):
+        inst = pn.Instance(A=given, c=c, B=B, edge_meta=tuple(meta), node_ids=nodes)
+        assert isinstance(inst.A, sp.csr_matrix)
+        assert np.array_equal(inst.A.toarray(), A)
+
+
+@pytest.mark.parametrize("defect", ["sign-flipped", "wrong-node", "not-incidence",
+                                    "unknown-node", "self-loop"])
+def test_incidence_validation_rejects(defect):
+    # the triangle's first edge runs a -> b: +1 at a, -1 at b
+    A, c, B, meta, nodes = _triangle_parts()
+    if defect == "sign-flipped":
+        A[:, 0] *= -1.0
+    elif defect == "wrong-node":
+        A[:, 0] = [1.0, 0.0, -1.0]
+    elif defect == "not-incidence":
+        A[:, 0] = [2.0, -2.0, 0.0]
+    elif defect == "unknown-node":
+        meta[0] = pn.EdgeMeta("a", "z", "a-z")
+    else:
+        meta[0] = pn.EdgeMeta("a", "a", "a-a")
+    with pytest.raises(ScenarioError):
+        pn.Instance(A=A, c=c, B=B, edge_meta=tuple(meta), node_ids=nodes)
 
 
 def test_capacity_state_validation():
