@@ -44,8 +44,8 @@ def _add_dynamics_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--record-every", type=int, default=100)
     parser.add_argument("--record-gap", action="store_true",
                         help="include the duality gap in trajectory records")
-    parser.add_argument("--solver", default="auto",
-                        choices=["auto", "dense", "splu"])
+    parser.add_argument("--solver", default="auto", choices=["auto"],
+                        help="ignored: the instance picks the factorization")
     parser.add_argument("--solve-tol", type=float, default=1e-10)
 
 
@@ -80,13 +80,13 @@ def _run_to_outputs(scenario: Scenario, args, outdir: Path) -> int:
     diag = dynamics.DiagnosticsConfig(record_every=args.record_every,
                                       record_gap=args.record_gap)
     traj = dynamics.run(scenario.instance, x0, spec, diag,
-                        solver=args.solver, solve_tol=args.solve_tol)
+                        solve_tol=args.solve_tol)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "scenario.json", scenario_document(scenario))
     traj.write_csv(outdir / "trajectory.csv")
-    final = traj.final
+    # A failed first solve leaves no record; the state is then x0.
     _write_json(outdir / "final_state.json", {
-        "x": [float(v) for v in final.x],
+        "x": [float(v) for v in (traj.final_x if traj.records else x0)],
         "status": traj.status.value,
         "steps": traj.steps,
     })
@@ -94,9 +94,7 @@ def _run_to_outputs(scenario: Scenario, args, outdir: Path) -> int:
         _error_json("solver", traj.message or "linear solver failed")
         return EXIT_RUNTIME
 
-    sol = electrical.solve_commodities(scenario.instance, final.x,
-                                       solver=args.solver,
-                                       solve_tol=args.solve_tol)
+    final, sol = traj.final, traj.final_solution
     cert = analysis.certificate(scenario.instance, final.x, sol)
     cost = electrical.network_cost(scenario.instance, final.x)
     energy = electrical.energy_dissipation(scenario.instance, final.x, sol)
@@ -151,12 +149,10 @@ def _cmd_sweep(args) -> int:
             traj = dynamics.run(scenario.instance, x0, spec,
                                 dynamics.DiagnosticsConfig(
                                     record_every=args.record_every),
-                                solver=args.solver, solve_tol=args.solve_tol)
+                                solve_tol=args.solve_tol)
             if traj.status == dynamics.TerminalStatus.SOLVER_FAILURE:
                 raise SolverError(traj.message or "solver failure")
-            x = traj.final_x
-            sol = electrical.solve_commodities(scenario.instance, x,
-                                               solver=args.solver)
+            x, sol = traj.final_x, traj.final_solution
             idx = scenarios.bowtie_edge_indices(scenario.instance)
             q_t = float(sol.Q[idx["top"], 0])
             q_b = float(sol.Q[idx["bottom"], 0])
@@ -183,6 +179,8 @@ def _cmd_certify(args) -> int:
         scenario = load_scenario(run_dir / "scenario.json")
         state = json.loads((run_dir / "final_state.json").read_text())
         x = np.array(state["x"], dtype=float)
+        sol = electrical.solve_commodities(scenario.instance, x,
+                                           solve_tol=args.solve_tol)
     else:
         if not args.scenario:
             raise ScenarioError("certify needs --scenario or --run-dir")
@@ -191,12 +189,11 @@ def _cmd_certify(args) -> int:
         x0 = scenario.sample_x0(seed=args.seed)
         traj = dynamics.run(scenario.instance, x0, spec,
                             dynamics.DiagnosticsConfig(record_every=args.record_every),
-                            solver=args.solver, solve_tol=args.solve_tol)
+                            solve_tol=args.solve_tol)
         if traj.status == dynamics.TerminalStatus.SOLVER_FAILURE:
             _error_json("solver", traj.message or "solver failure")
             return EXIT_RUNTIME
-        x = traj.final_x
-    sol = electrical.solve_commodities(scenario.instance, x, solver=args.solver)
+        x, sol = traj.final_x, traj.final_solution
     cert = analysis.certificate(scenario.instance, x, sol)
     payload = {
         "primal": cert.primal,

@@ -177,6 +177,8 @@ class Trajectory:
     status: TerminalStatus = TerminalStatus.MAX_STEPS
     steps: int = 0
     message: str | None = None
+    # The solve at final_x; None when the run ends in a solver failure.
+    final_solution: FlowSolution | None = None
 
     @property
     def final(self) -> TrajectoryRecord:
@@ -208,7 +210,6 @@ class Trajectory:
 class DiagnosticsConfig:
     record_every: int = 1
     record_gap: bool = False
-    check_bounded: bool = True
 
 
 def lambda_norms(solution: FlowSolution, kind: DynamicsKind) -> np.ndarray:
@@ -275,7 +276,7 @@ def _cost_term(instance: Instance, x: np.ndarray, spec: DynamicsSpec) -> float:
 
 def run(instance: Instance, x0, spec: DynamicsSpec,
         diagnostics: DiagnosticsConfig | None = None, *,
-        solver: str = "auto", solve_tol: float = 1e-10,
+        solve_tol: float = 1e-10,
         grounding: GroundingPlan | None = None) -> Trajectory:
     """Integrate the dynamics until the fixed-point residual drops below
     ``spec.stop_tol`` or ``spec.max_steps`` Euler steps have been taken.
@@ -284,6 +285,7 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
     plus an explicit floor) and the run aborts with
     :class:`DivergenceError` if the Lyapunov cost term ever exceeds twice
     the starting Lyapunov value, which the continuous dynamics cannot do.
+    The returned trajectory holds the solve at its final state.
     """
     diag = diagnostics or DiagnosticsConfig()
     if isinstance(x0, CapacityState):
@@ -309,7 +311,7 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
         t = step * spec.h
         try:
             sol = solve_commodities(instance, x, grounding=plan,
-                                    solve_tol=solve_tol, solver=solver)
+                                    solve_tol=solve_tol)
         except SolverError as exc:
             traj.status = TerminalStatus.SOLVER_FAILURE
             traj.message = f"step {step}: {exc}"
@@ -339,7 +341,7 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
                 residual=residual, gap=gap, slack_from_prev=slack_accum,
                 flow_ratio=ratio))
             slack_accum = 0.0
-        if diag.check_bounded and cost_term > bound * (1.0 + 1e-9):
+        if cost_term > bound * (1.0 + 1e-9):
             raise DivergenceError(
                 f"step {step}: cost term {cost_term:.6g} "
                 f"exceeds bounded-domain limit {bound:.6g}")
@@ -347,6 +349,7 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
             traj.status = (TerminalStatus.CONVERGED
                            if residual <= spec.stop_tol else TerminalStatus.MAX_STEPS)
             traj.steps = step
+            traj.final_solution = sol
             return traj
 
         xdot = rhs(instance, x, sol, spec, norms=norms)

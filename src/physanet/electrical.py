@@ -31,10 +31,13 @@ from .model import Instance
 DEFAULT_SOLVE_TOL = 1e-10
 
 # Direct factorizations stay accurate when capacities span ten orders of
-# magnitude (edges parked at the floor).  "auto" takes dense Cholesky up to
-# this many nodes and for general matrices, sparse LU for larger incidence
-# systems; the crossover is a fixed guess, not a measured one.
-DENSE_SOLVER_MAX_N = 200
+# magnitude (edges parked at the floor).  Incidence instances above this
+# many nodes take sparse LU, all others dense Cholesky.  Per solve on grids
+# (ms, dense/LU, OpenBLAS 2 threads): n=153 0.66/1.19, n=165 0.81/1.31,
+# n=174 10.3/1.64, n=393 12.5/3.48.  The jump is OpenBLAS threading: from
+# size ~168 a cho_factor followed by a matrix product takes ~11 ms instead
+# of 0.6 (one thread: 0.33 ms).  The limit sits below that size.
+DENSE_SOLVER_MAX_N = 150
 
 # Iterative refinement stops at this fraction of ``solve_tol`` so that the
 # per-commodity residual check after it passes with room to spare.
@@ -121,9 +124,10 @@ def _demand_basis(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
 class _GroundedSystem:
     """The grounded Laplacian ``L(x)[keep][:, keep]`` for one grounding plan.
 
-    For incidence instances its CSC sparsity pattern and the scatter of each
-    edge's four entries into ``data`` are fixed, so assembly is one
-    ``bincount`` per call.
+    It also fixes the format the solver factors: CSC for incidence
+    instances with more than ``DENSE_SOLVER_MAX_N`` nodes (``sparse``), a
+    dense array otherwise.  For incidence instances the position of each
+    edge's four entries is fixed, so assembly is one ``bincount`` per call.
     """
 
     def __init__(self, instance: Instance, nodes: tuple[int, ...], U: np.ndarray):
@@ -131,6 +135,7 @@ class _GroundedSystem:
         self.keep = np.setdiff1d(np.arange(n), np.array(nodes, dtype=np.intp))
         size = self.size = self.keep.size
         self.rhs = np.ascontiguousarray(U[self.keep])  # grounded basis columns
+        self.sparse = instance.is_incidence and n > DENSE_SOLVER_MAX_N
         if not instance.is_incidence:
             self.A_keep = instance.A[self.keep]
             return
@@ -146,7 +151,9 @@ class _GroundedSystem:
         inside = (rows >= 0) & (cols >= 0)
         rows, cols = rows[inside], cols[inside]
         self.edge, self.sign = edge[inside], sign[inside]
-        self.flat = rows * size + cols
+        if not self.sparse:
+            self.flat = rows * size + cols
+            return
         # Keys sorted by (column, row) are the CSC order of the entries.
         keys, self.slot = np.unique(cols * size + rows, return_inverse=True)
         self.indices = (keys % size).astype(np.int32)
@@ -154,12 +161,11 @@ class _GroundedSystem:
             [[0], np.cumsum(np.bincount(keys // size, minlength=size))]
         ).astype(np.int32)
 
-    def matrix(self, w: np.ndarray, sparse: bool):
+    def matrix(self, w: np.ndarray):
         if self.A_keep is not None:
-            L = (self.A_keep * w) @ self.A_keep.T
-            return sp.csc_matrix(L) if sparse else L
+            return (self.A_keep * w) @ self.A_keep.T
         vals = self.sign * w[self.edge]
-        if sparse:
+        if self.sparse:
             data = np.bincount(self.slot, weights=vals, minlength=self.indices.size)
             return sp.csc_matrix((data, self.indices, self.indptr),
                                  shape=(self.size, self.size))
@@ -197,18 +203,19 @@ def _context(instance: Instance) -> _Context:
 
 
 def assemble_laplacian(instance: Instance, x: np.ndarray, *,
-                       sparse: bool = False,
                        grounding: GroundingPlan | None = None):
     """Weighted Laplacian ``A X C^-1 A^T`` (symmetric PSD, n x n).
 
     With a ``grounding`` plan, the principal submatrix on the nodes it does
-    not pin.  ``sparse`` returns a CSC matrix instead of a dense array.
+    not pin.  The result is in the format ``solve_commodities`` factors: a
+    CSC matrix for incidence instances with more than ``DENSE_SOLVER_MAX_N``
+    nodes, a dense array otherwise.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ScenarioError("capacities must be nonnegative")
     plan = grounding if grounding is not None else GroundingPlan(nodes=())
-    return _context(instance).system(instance, plan).matrix(x / instance.c, sparse)
+    return _context(instance).system(instance, plan).matrix(x / instance.c)
 
 
 def default_grounding(instance: Instance, variant: int = 0) -> GroundingPlan:
@@ -275,14 +282,13 @@ def _quadratic_forms(W: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 def solve_commodities(instance: Instance, x: np.ndarray,
                       grounding: GroundingPlan | None = None,
-                      solve_tol: float = DEFAULT_SOLVE_TOL,
-                      solver: str = "auto") -> FlowSolution:
+                      solve_tol: float = DEFAULT_SOLVE_TOL) -> FlowSolution:
     """Solve ``L(x) p_i = b_i`` for all commodities and derive flows.
 
     One factorization of the grounded Laplacian serves every column of the
-    demand basis: dense Cholesky (``solver="dense"``) or sparse LU
-    (``"splu"``), each followed by the same iterative refinement; ``"auto"``
-    picks by size (see ``DENSE_SOLVER_MAX_N``).
+    demand basis, followed by iterative refinement.  The instance decides
+    the factorization: sparse LU for incidence instances with more than
+    ``DENSE_SOLVER_MAX_N`` nodes, dense Cholesky otherwise.
 
     The returned quantities ``b^T p``, ``p^T L p`` and ``Q`` are independent
     of the grounding plan.  Raises :class:`SolverError` when the relative
@@ -293,13 +299,6 @@ def solve_commodities(instance: Instance, x: np.ndarray,
     ctx = _context(inst)
     if grounding is None:
         grounding = default_grounding(inst)
-    if solver == "auto":
-        if inst.n <= DENSE_SOLVER_MAX_N or not inst.is_incidence:
-            solver = "dense"
-        else:
-            solver = "splu"
-    if solver not in ("dense", "splu"):
-        raise ScenarioError(f"unknown solver {solver!r}")
 
     U, W = ctx.U, ctx.W
     G = np.zeros(U.shape)
@@ -308,8 +307,7 @@ def solve_commodities(instance: Instance, x: np.ndarray,
                             energy_per_commodity=np.zeros(0),
                             residuals=np.zeros(0))
     system = ctx.system(inst, grounding)
-    Lr = assemble_laplacian(inst, x, sparse=solver == "splu",
-                            grounding=grounding)
+    Lr = assemble_laplacian(inst, x, grounding=grounding)
     G[system.keep] = _solve_direct(Lr, system.rhs, solve_tol)
 
     drops = ctx.AT @ G

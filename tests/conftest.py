@@ -37,3 +37,14 @@ def random_graph_instance(rng: np.random.Generator, n_max: int = 8,
         demands.append(pn.DemandSpec(nodes[int(u)], nodes[int(v)],
                                      float(rng.uniform(0.5, 2.0))))
     return pn.graph_instance(nodes, edges, demands)
+
+
+@pytest.fixture
+def factorization(monkeypatch):
+    """``factorization("dense" | "splu")`` makes instances built afterwards
+    factor that way.  The format is fixed when an instance's grounded system
+    is first built, so each path needs a fresh instance."""
+    def use(kind: str) -> None:
+        monkeypatch.setattr(pn.electrical, "DENSE_SOLVER_MAX_N",
+                            {"dense": 10**9, "splu": 0}[kind])
+    return use

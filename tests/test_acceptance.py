@@ -32,11 +32,9 @@ BOWTIE_COST = 8.0 * math.sqrt(3.0) + 2.0 * math.sqrt(2.0)
 _RUNS: list[tuple[str, pn.Trajectory]] = []
 
 
-def run_and_register(name, instance, x0, spec, record_every=200,
-                     solver="auto") -> pn.Trajectory:
+def run_and_register(name, instance, x0, spec, record_every=200) -> pn.Trajectory:
     traj = pn.run(instance, x0, spec,
-                  pn.DiagnosticsConfig(record_every=record_every),
-                  solver=solver)
+                  pn.DiagnosticsConfig(record_every=record_every))
     _RUNS.append((name, traj))
     return traj
 
@@ -366,7 +364,7 @@ def test_criterion_11_synthetic_grid_study():
                            max_steps=50_000)
     t0 = time.perf_counter()
     traj = run_and_register("grid-synthetic", inst, np.full(inst.m, 0.5),
-                            spec, record_every=2000, solver="splu")
+                            spec, record_every=2000)
     elapsed = time.perf_counter() - t0
     assert traj.status == pn.TerminalStatus.CONVERGED, (
         f"residual {traj.final.residual:.2e} after {traj.steps} steps")

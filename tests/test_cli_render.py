@@ -118,6 +118,57 @@ def test_cli_certify_from_run_dir(tmp_path, ring_path, capsys):
                    "--h", "0.02", "--seed", "2") == 0
     capsys.readouterr()
     assert run_cli("certify", "--run-dir", out, "--gap-tol", "1e-3") == 0
+    capsys.readouterr()
+    assert run_cli("certify", "--run-dir", out, "--solve-tol", "1e-30") == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["kind"] == "runtime"
+
+
+def _count_solves(monkeypatch):
+    """Count solve_commodities calls from every module that makes them, and
+    keep the trajectory of each dynamics.run."""
+    calls, trajs = [], []
+    solve, run = pn.electrical.solve_commodities, pn.dynamics.run
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    def kept(*args, **kwargs):
+        trajs.append(run(*args, **kwargs))
+        return trajs[-1]
+
+    for module in (pn.electrical, pn.dynamics, pn.analysis):
+        monkeypatch.setattr(module, "solve_commodities", counted)
+    monkeypatch.setattr(pn.dynamics, "run", kept)
+    return calls, trajs, solve
+
+
+def test_cli_run_solves_each_state_once(tmp_path, ring_path, monkeypatch):
+    calls, trajs, solve = _count_solves(monkeypatch)
+    assert run_cli("run", "--scenario", ring_path, "--out", tmp_path / "run",
+                   "--h", "0.02", "--seed", "3", "--max-steps", "20") == 0
+    (traj,) = trajs
+    assert traj.status == pn.TerminalStatus.MAX_STEPS and traj.steps == 20
+    assert len(calls) == 21
+    kept, fresh = traj.final_solution, solve(traj.instance, traj.final_x)
+    for name in ("G", "W", "drops", "x", "energy_per_commodity", "residuals", "Q"):
+        assert np.array_equal(getattr(kept, name), getattr(fresh, name)), name
+
+
+def test_cli_run_first_solve_failure_writes_state(tmp_path, ring_path,
+                                                  monkeypatch, capsys):
+    calls, trajs, _ = _count_solves(monkeypatch)
+    out = tmp_path / "run"
+    assert run_cli("run", "--scenario", ring_path, "--out", out,
+                   "--solve-tol", "1e-30", "--max-steps", "5") == 1
+    assert len(calls) == 1 and trajs[0].final_solution is None
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["kind"] == "solver"
+    state = json.loads((out / "final_state.json").read_text())
+    x0 = pn.load_scenario(ring_path).sample_x0(seed=0)
+    assert state == {"x": x0.tolist(), "status": "solver-failure", "steps": 0}
+    assert not (out / "report.json").exists()
 
 
 def test_cli_sweep_summary(tmp_path):

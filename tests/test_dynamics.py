@@ -185,15 +185,16 @@ def test_flow_bound_holds_along_trajectories(ring):
     assert max(ratios) <= 1.0 + 1e-9
 
 
-def test_solver_choice_does_not_change_trajectory(ring):
+def test_solver_choice_does_not_change_trajectory(factorization):
     spec = pn.DynamicsSpec(kind=K.TWO_NORM, h=0.05, max_steps=500,
                            stop_tol=1e-12)
-    x0 = ring.sample_x0(seed=9)
-    t_dense = pn.run(ring.instance, x0, spec,
-                     pn.DiagnosticsConfig(record_every=100), solver="dense")
-    t_splu = pn.run(ring.instance, x0, spec,
-                    pn.DiagnosticsConfig(record_every=100), solver="splu")
-    assert np.abs(t_dense.final_x - t_splu.final_x).max() <= 1e-7
+    finals = {}
+    for kind in ("dense", "splu"):
+        factorization(kind)
+        ring = pn.ring_scenario()
+        finals[kind] = pn.run(ring.instance, ring.sample_x0(seed=9), spec,
+                              pn.DiagnosticsConfig(record_every=100)).final_x
+    assert np.abs(finals["dense"] - finals["splu"]).max() <= 1e-7
 
 
 def test_run_rejects_bad_x0(ring):

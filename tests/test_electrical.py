@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,31 +33,44 @@ def test_triangle_laplacian_symmetric(ring):
     assert np.allclose(L, L.T)
 
 
-def test_sparse_and_dense_assembly_agree(ring):
+def test_sparse_and_dense_assembly_agree(factorization):
     x = np.array([0.3, 1.1, 0.8])
-    Ld = pn.assemble_laplacian(ring.instance, x)
-    Ls = pn.assemble_laplacian(ring.instance, x, sparse=True)
+    Ld = pn.assemble_laplacian(pn.ring_scenario().instance, x)
+    factorization("splu")
+    Ls = pn.assemble_laplacian(pn.ring_scenario().instance, x)
+    assert isinstance(Ld, np.ndarray) and Ls.format == "csc"
     assert np.allclose(Ld, Ls.toarray())
 
 
-def test_grounded_assembly_is_principal_submatrix():
+def test_grounded_assembly_is_principal_submatrix(factorization):
     # parallel edges share pattern slots; both groundings, both formats
     rng = np.random.default_rng(11)
-    inst = pn.graph_instance(["a", "b", "c", "d"],
-                             [("a", "b", 1.0), ("a", "b", 2.0), ("b", "c", 0.5),
-                              ("c", "d", 1.5), ("d", "a", 1.0)],
-                             [pn.DemandSpec("a", "c", 1.0)])
+
+    def graph():
+        return pn.graph_instance(["a", "b", "c", "d"],
+                                 [("a", "b", 1.0), ("a", "b", 2.0), ("b", "c", 0.5),
+                                  ("c", "d", 1.5), ("d", "a", 1.0)],
+                                 [pn.DemandSpec("a", "c", 1.0)])
+
+    inst = graph()
     raw = pn.Instance(A=inst.A.toarray(), c=inst.c.copy(), B=inst.B.copy())
     x = rng.uniform(0.2, 2.0, size=inst.m)
     full = pn.assemble_laplacian(inst, x)
+    grounded = {}
     for case in (inst, raw):
         for variant in (0, 1):
             plan = pn.default_grounding(case, variant)
             keep = np.setdiff1d(np.arange(case.n), plan.nodes)
-            dense = pn.assemble_laplacian(case, x, grounding=plan)
-            sparse = pn.assemble_laplacian(case, x, sparse=True, grounding=plan)
-            assert np.allclose(dense, full[np.ix_(keep, keep)], rtol=1e-15, atol=0)
-            assert np.array_equal(sparse.toarray(), dense)
+            grounded[case, variant] = pn.assemble_laplacian(case, x, grounding=plan)
+            assert np.allclose(grounded[case, variant], full[np.ix_(keep, keep)],
+                               rtol=1e-15, atol=0)
+    factorization("splu")
+    sparse_inst = graph()
+    for variant in (0, 1):
+        plan = pn.default_grounding(sparse_inst, variant)
+        sparse = pn.assemble_laplacian(sparse_inst, x, grounding=plan)
+        assert sparse.format == "csc"
+        assert np.array_equal(sparse.toarray(), grounded[inst, variant])
 
 
 def test_single_edge_solve(single_edge):
@@ -109,13 +123,15 @@ def test_grounding_independence():
             <= 1e-8 * max(1.0, np.abs(s0.energy_per_commodity).max())
 
 
-def test_grounded_solution_unique(ring):
+def test_grounded_solution_unique(factorization):
     # same grounding through both factorizations gives the same potentials
     x = np.array([0.5, 1.0, 1.5])
-    plan = pn.default_grounding(ring.instance)
-    s0 = pn.solve_commodities(ring.instance, x, grounding=plan, solver="splu")
-    s2 = pn.solve_commodities(ring.instance, x, grounding=plan, solver="dense")
-    assert np.abs(s0.P - s2.P).max() <= 1e-8
+    P = {}
+    for kind in ("splu", "dense"):
+        factorization(kind)
+        inst = pn.ring_scenario().instance
+        P[kind] = pn.solve_commodities(inst, x, grounding=pn.default_grounding(inst)).P
+    assert np.abs(P["splu"] - P["dense"]).max() <= 1e-8
 
 
 def test_energy_identity():
@@ -177,15 +193,17 @@ def test_laplacian_roundtrip_after_convergence():
     assert resid <= 1e-8 * max(1.0, np.abs(scen.instance.B).max())
 
 
-def test_solvers_cross_check_on_grid():
+def test_solvers_cross_check_on_grid(factorization):
     sq = [(0.5, 0.5), (12.5, 0.5), (12.5, 12.5), (0.5, 12.5)]
     grid, _ = pn.grid_region_scenario(sq, 1.0, seed=2)
     demands = [pn.DemandSpec(grid.node_ids[0], grid.node_ids[-1], 1.0),
                pn.DemandSpec(grid.node_ids[5], grid.node_ids[70], 2.0)]
-    inst = pn.instance_of_grid(grid, demands)
-    rng = np.random.default_rng(0)
-    x = rng.uniform(0.2, 1.5, size=inst.m)
-    sols = {s: pn.solve_commodities(inst, x, solver=s) for s in ("dense", "splu")}
+    sols = {}
+    for kind in ("dense", "splu"):
+        factorization(kind)
+        inst = pn.instance_of_grid(grid, demands)
+        x = np.random.default_rng(0).uniform(0.2, 1.5, size=inst.m)
+        sols[kind] = pn.solve_commodities(inst, x)
     assert np.abs(sols["splu"].Q - sols["dense"].Q).max() <= 1e-7
     assert np.abs(sols["splu"].energy_per_commodity
                   - sols["dense"].energy_per_commodity).max() <= 1e-7
@@ -236,9 +254,16 @@ def test_general_matrix_dynamics_run():
 TOKYO = Path(__file__).resolve().parents[1] / "scenarios" / "tokyo_like_synthetic.json"
 
 
+def _path_graph(n):
+    nodes = [f"v{i}" for i in range(n)]
+    return pn.graph_instance(nodes, [(u, v, 1.0) for u, v in zip(nodes, nodes[1:])],
+                             [pn.DemandSpec(nodes[0], nodes[-1], 1.0)])
+
+
 def test_factor_entry_points(monkeypatch, ring):
-    # the grid factors through scipy.sparse.linalg.splu, the ring through
-    # scipy.linalg.cho_factor; both are looked up on their modules per call
+    # incidence instances above DENSE_SOLVER_MAX_N nodes factor through
+    # scipy.sparse.linalg.splu, all others through scipy.linalg.cho_factor;
+    # both are looked up on their modules per call
     calls = {"splu": 0, "cho_factor": 0}
 
     def count(module, name):
@@ -257,6 +282,16 @@ def test_factor_entry_points(monkeypatch, ring):
     assert calls == {"splu": 1, "cho_factor": 0}
     pn.solve_commodities(ring.instance, np.ones(3))
     assert calls == {"splu": 1, "cho_factor": 1}
+    limit = pn.electrical.DENSE_SOLVER_MAX_N
+    for n, fmt, expected in ((limit, np.ndarray, {"splu": 1, "cho_factor": 2}),
+                             (limit + 1, sp.csc_matrix, {"splu": 2, "cho_factor": 2})):
+        path = _path_graph(n)
+        pn.solve_commodities(path, np.ones(path.m))
+        assert calls == expected
+        assert type(pn.assemble_laplacian(path, np.ones(path.m))) is fmt
+    raw = pn.Instance(A=ring.instance.A.toarray(), c=np.ones(3), B=ring.instance.B)
+    pn.solve_commodities(raw, np.ones(3))
+    assert calls == {"splu": 2, "cho_factor": 3}
 
 
 def test_solved_instance_is_freed():
@@ -282,18 +317,19 @@ def test_shared_terminals_solve_in_basis_and_match_explicit_residual():
                        rtol=1e-12, atol=0)
 
 
-def test_dense_runs_the_grid_window_like_splu():
+def test_dense_runs_the_grid_window_like_splu(factorization):
     # both factorizations pass the full-system residual check on every step
-    scen = pn.load_scenario(TOKYO)
     spec = pn.DynamicsSpec(kind=pn.DynamicsKind.TWO_NORM, h=0.5, max_steps=30,
                            stop_tol=1e-6)
     finals = {}
-    for solver in ("splu", "dense"):
+    for kind in ("splu", "dense"):
+        factorization(kind)
+        scen = pn.load_scenario(TOKYO)
         traj = pn.run(scen.instance, scen.sample_x0(seed=0), spec,
-                      pn.DiagnosticsConfig(record_every=100), solver=solver)
+                      pn.DiagnosticsConfig(record_every=100))
         assert traj.status == pn.TerminalStatus.MAX_STEPS, traj.message
         assert traj.steps == 30
-        finals[solver] = traj.final.lyapunov
+        finals[kind] = traj.final.lyapunov
     assert abs(finals["dense"] - finals["splu"]) <= 1e-10 * finals["splu"]
 
 
