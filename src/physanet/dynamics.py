@@ -335,7 +335,9 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
                 gap = certificate(instance, x, sol).gap
             ratio = float("nan")
             if is_incidence and instance.k > 0:
-                ratio = float((np.abs(sol.Q) / b1_safe[None, :]).max())
+                # |Q| formed here and dropped, not cached on the kept solution
+                flows = x[:, None] * np.abs(sol.drops @ sol.W)
+                ratio = float((flows / b1_safe[None, :]).max())
             traj.records.append(TrajectoryRecord(
                 t=t, x=x.copy(), lyapunov=lyap, cost=cost, energy=energy,
                 residual=residual, gap=gap, slack_from_prev=slack_accum,

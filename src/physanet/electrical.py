@@ -13,6 +13,14 @@ factored once per call and solved for the basis potentials ``G`` in
 ``L(x) G = U``.  Then ``P = G W``, and energies, drop norms and residuals
 are all computed from ``G`` and ``W`` in ``s`` columns; the k-column
 ``P``, ``Q`` and ``Lambda`` are formed only when asked for.
+
+Large graphs are factored by sparse LU.  The grounded Laplacian's pattern
+is fixed per grounding, so a symmetric minimum-degree order is computed
+for it once, and every step factors the reordered matrix on its diagonal,
+without pivoting.  The matrix is symmetric positive definite, so diagonal
+pivots are as stable as Cholesky.  Iterative refinement works on the
+residual in incidence form, ``A (w * A^T G) - U``, which also serves the
+final check.
 """
 
 from __future__ import annotations
@@ -33,10 +41,11 @@ DEFAULT_SOLVE_TOL = 1e-10
 # Direct factorizations stay accurate when capacities span ten orders of
 # magnitude (edges parked at the floor).  Incidence instances above this
 # many nodes take sparse LU, all others dense Cholesky.  Per solve on grids
-# (ms, dense/LU, OpenBLAS 2 threads): n=153 0.66/1.19, n=165 0.81/1.31,
-# n=174 10.3/1.64, n=393 12.5/3.48.  The jump is OpenBLAS threading: from
-# size ~168 a cho_factor followed by a matrix product takes ~11 ms instead
-# of 0.6 (one thread: 0.33 ms).  The limit sits below that size.
+# (ms, dense/LU, median of 10 alternating repeats of 30 calls, OpenBLAS
+# 2 threads): n=153 0.56/0.66, n=165 0.67/0.79, n=174 0.64/0.80,
+# n=199 0.61/0.68, n=237 1.00/0.86, n=279 1.19/1.23, n=393 2.43/1.81.
+# Dense is faster up to about 200 and LU from about 240 on; the limit
+# stays at 150 until a change of it is measured on its own.
 DENSE_SOLVER_MAX_N = 150
 
 # Iterative refinement stops at this fraction of ``solve_tol`` so that the
@@ -128,6 +137,11 @@ class _GroundedSystem:
     instances with more than ``DENSE_SOLVER_MAX_N`` nodes (``sparse``), a
     dense array otherwise.  For incidence instances the position of each
     edge's four entries is fixed, so assembly is one ``bincount`` per call.
+
+    A sparse system also fixes its elimination order, once: a symmetric
+    minimum-degree order of the pattern.  ``keep`` and ``rhs`` list the
+    grounded nodes in that order, and ``factor_order`` gathers an assembled
+    matrix into it.
     """
 
     def __init__(self, instance: Instance, nodes: tuple[int, ...], U: np.ndarray):
@@ -154,12 +168,19 @@ class _GroundedSystem:
         if not self.sparse:
             self.flat = rows * size + cols
             return
-        # Keys sorted by (column, row) are the CSC order of the entries.
-        keys, self.slot = np.unique(cols * size + rows, return_inverse=True)
-        self.indices = (keys % size).astype(np.int32)
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(keys // size, minlength=size))]
-        ).astype(np.int32)
+        self.slot, self.indices, self.indptr = _csc_pattern(rows, cols, size)
+        # The order depends on the pattern alone.  Unit conductances plus the
+        # identity give a positive definite matrix on it whatever the plan;
+        # perm_c maps each grounded node to its place in the order, and the
+        # reordered pattern is one gather of the assembled entries.
+        unit = self.matrix(np.ones(m)) + sp.identity(size, format="csc")
+        perm_c = spla.splu(unit, permc_spec="MMD_AT_PLUS_A",
+                           options={"SymmetricMode": True}).perm_c.astype(np.intp)
+        order, self.factor_indices, self.factor_indptr = _csc_pattern(
+            perm_c[self.indices], np.repeat(perm_c, np.diff(self.indptr)), size)
+        self.gather = np.argsort(order)
+        ordered = np.argsort(perm_c)
+        self.keep, self.rhs = self.keep[ordered], self.rhs[ordered]
 
     def matrix(self, w: np.ndarray):
         if self.A_keep is not None:
@@ -171,6 +192,21 @@ class _GroundedSystem:
                                  shape=(self.size, self.size))
         return np.bincount(self.flat, weights=vals,
                            minlength=self.size * self.size).reshape(self.size, self.size)
+
+    def factor_order(self, Lr):
+        """``Lr`` with rows and columns in the order of ``keep``."""
+        if not self.sparse:
+            return Lr
+        return sp.csc_matrix((Lr.data[self.gather], self.factor_indices,
+                              self.factor_indptr), shape=(self.size, self.size))
+
+
+def _csc_pattern(rows: np.ndarray, cols: np.ndarray, size: int):
+    """Slot of each entry, ``indices`` and ``indptr`` of the CSC pattern."""
+    # Keys sorted by (column, row) are the CSC order of the entries.
+    keys, slot = np.unique(cols * size + rows, return_inverse=True)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // size, minlength=size))])
+    return slot, (keys % size).astype(np.int32), indptr.astype(np.int32)
 
 
 class _Context:
@@ -184,6 +220,8 @@ class _Context:
         self.AT = instance.A.T.tocsr() if instance.is_incidence else instance.A.T
         self.U, self.W = _demand_basis(instance)
         self.b_scale = np.maximum(np.linalg.norm(instance.B, axis=0), 1e-300)
+        self.inner_target = INNER_TOL_FACTOR * np.maximum(
+            np.linalg.norm(self.U, axis=0), 1e-300)
         self._systems: dict[tuple[int, ...], _GroundedSystem] = {}
 
     def system(self, instance: Instance, grounding: GroundingPlan) -> _GroundedSystem:
@@ -245,34 +283,27 @@ def default_grounding(instance: Instance, variant: int = 0) -> GroundingPlan:
     return GroundingPlan(nodes=tuple(nodes))
 
 
-def _solve_direct(Lr, rhs: np.ndarray, solve_tol: float) -> np.ndarray:
-    """Factor once (dense Cholesky or sparse LU) and solve for every column."""
+def _factor(Lr):
+    """Factor the grounded Laplacian once; returns the solve for it.
+
+    ``Lr`` is symmetric positive definite.  Sparse LU takes the diagonal
+    pivots in the given order, which for such a matrix is as stable as
+    Cholesky; dense matrices take Cholesky.
+    """
     if sp.issparse(Lr):
         try:
-            solve = spla.splu(Lr).solve
+            return spla.splu(Lr, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                             options={"SymmetricMode": True}).solve
         except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
-    else:
-        try:
-            factor = scipy.linalg.cho_factor(Lr, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"grounded Laplacian is not positive definite: {exc}") from exc
+    try:
+        factor = scipy.linalg.cho_factor(Lr, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise SolverError(f"grounded Laplacian is not positive definite: {exc}") from exc
 
-        def solve(R):
-            return scipy.linalg.cho_solve(factor, R, check_finite=False)
-
-    X = solve(rhs)
-    # Up to two rounds of iterative refinement guard against ill-conditioned
-    # states (capacities spread over many orders of magnitude near the floor).
-    target = INNER_TOL_FACTOR * solve_tol * np.maximum(
-        np.linalg.norm(rhs, axis=0), 1e-300)
-    for _ in range(2):
-        R = rhs - Lr @ X
-        if np.all(np.linalg.norm(R, axis=0) <= target):
-            break
-        X += solve(R)
-    return X
+    def solve(R):
+        return scipy.linalg.cho_solve(factor, R, check_finite=False)
+    return solve
 
 
 def _quadratic_forms(W: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -307,13 +338,24 @@ def solve_commodities(instance: Instance, x: np.ndarray,
                             energy_per_commodity=np.zeros(0),
                             residuals=np.zeros(0))
     system = ctx.system(inst, grounding)
-    Lr = assemble_laplacian(inst, x, grounding=grounding)
-    G[system.keep] = _solve_direct(Lr, system.rhs, solve_tol)
+    solve = _factor(system.factor_order(assemble_laplacian(inst, x, grounding=grounding)))
+    G[system.keep] = solve(system.rhs)
 
-    drops = ctx.AT @ G
-    # B = U W, so L(x) P - B = R W with R = L(x) G - U; the per-commodity
-    # residual norms follow from the small Gram matrix R^T R.
-    R = inst.A @ ((x / inst.c)[:, None] * drops) - U
+    # Up to two rounds of iterative refinement guard against ill-conditioned
+    # states (capacities spread over many orders of magnitude near the floor).
+    # They refine against the residual R = L(x) G - U in incidence form,
+    # which keeps floor-level conductances that the assembled diagonal sums
+    # round away; its last value also serves the check below.
+    w = x / inst.c
+    target = ctx.inner_target * solve_tol
+    for rounds_left in (2, 1, 0):
+        drops = ctx.AT @ G
+        R = inst.A @ (w[:, None] * drops) - U
+        if rounds_left == 0 or np.all(np.linalg.norm(R, axis=0) <= target):
+            break
+        G[system.keep] -= solve(R[system.keep])
+    # B = U W, so L(x) P - B = R W; the per-commodity residual norms follow
+    # from the small Gram matrix R^T R.
     residuals = np.sqrt(np.maximum(_quadratic_forms(W, R.T @ R), 0.0)) / ctx.b_scale
     if np.any(residuals > solve_tol):
         worst = int(np.argmax(residuals))

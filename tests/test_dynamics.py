@@ -183,6 +183,12 @@ def test_flow_bound_holds_along_trajectories(ring):
                   pn.DiagnosticsConfig(record_every=10))
     ratios = [r.flow_ratio for r in traj.records]
     assert max(ratios) <= 1.0 + 1e-9
+    # the ratio equals the one from the flows, which the kept final
+    # solution has not formed
+    sol = traj.final_solution
+    assert "Q" not in vars(sol) and "Lambda" not in vars(sol)
+    b1 = np.abs(ring.instance.B).sum(axis=0)
+    assert ratios[-1] == (np.abs(sol.Q) / b1).max()
 
 
 def test_solver_choice_does_not_change_trajectory(factorization):

@@ -278,20 +278,47 @@ def test_factor_entry_points(monkeypatch, ring):
     count(scipy.sparse.linalg, "splu")
     count(scipy.linalg, "cho_factor")
     grid = pn.load_scenario(TOKYO).instance
+    # a sparse grounded system is ordered by one splu call when it is built
     pn.solve_commodities(grid, np.ones(grid.m))
-    assert calls == {"splu": 1, "cho_factor": 0}
+    assert calls == {"splu": 2, "cho_factor": 0}
+    pn.solve_commodities(grid, np.ones(grid.m))
+    assert calls == {"splu": 3, "cho_factor": 0}
     pn.solve_commodities(ring.instance, np.ones(3))
-    assert calls == {"splu": 1, "cho_factor": 1}
+    assert calls == {"splu": 3, "cho_factor": 1}
     limit = pn.electrical.DENSE_SOLVER_MAX_N
-    for n, fmt, expected in ((limit, np.ndarray, {"splu": 1, "cho_factor": 2}),
-                             (limit + 1, sp.csc_matrix, {"splu": 2, "cho_factor": 2})):
+    for n, fmt, expected in ((limit, np.ndarray, {"splu": 3, "cho_factor": 2}),
+                             (limit + 1, sp.csc_matrix, {"splu": 5, "cho_factor": 2})):
         path = _path_graph(n)
         pn.solve_commodities(path, np.ones(path.m))
         assert calls == expected
         assert type(pn.assemble_laplacian(path, np.ones(path.m))) is fmt
+    # the ungrounded matrix above is a system of its own, ordered once
+    assert calls == {"splu": 6, "cho_factor": 2}
     raw = pn.Instance(A=ring.instance.A.toarray(), c=np.ones(3), B=ring.instance.B)
     pn.solve_commodities(raw, np.ones(3))
-    assert calls == {"splu": 2, "cho_factor": 3}
+    assert calls == {"splu": 6, "cho_factor": 3}
+
+
+def test_grid_is_ordered_once_and_factored_on_the_diagonal(monkeypatch):
+    # a symmetric minimum-degree order, computed once per grounded system,
+    # and diagonal pivots: no fill beyond that order's, no row exchanges
+    factors = []
+    original = scipy.sparse.linalg.splu
+
+    def recorded(A, **kwargs):
+        lu = original(A, **kwargs)
+        factors.append((kwargs.get("permc_spec"), lu))
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recorded)
+    grid = pn.load_scenario(TOKYO).instance
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        pn.solve_commodities(grid, 10.0 ** rng.uniform(-9, 1, size=grid.m))
+    assert [spec for spec, _ in factors] == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
+    for _, lu in factors[1:]:
+        assert lu.L.nnz + lu.U.nnz <= 10_832
+        assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))
 
 
 def test_solved_instance_is_freed():
@@ -414,3 +441,30 @@ def test_basis_solve_matches_pseudo_inverse_oracle(seed, shape):
     if other is not None:
         close(other.Q, sol.Q)
         close(other.energy_per_commodity, sol.energy_per_commodity)
+
+
+# SolverErrors on these states when refinement used the residual of the
+# assembled grounded matrix, whose diagonal sums round away floor-level
+# conductances.
+ASSEMBLED_REFINEMENT_FAILURES = {"dense": 10, "splu": 12}
+
+
+@pytest.mark.parametrize("kind", ["dense", "splu"])
+def test_refinement_on_extreme_states(factorization, kind):
+    # capacities log-uniform over ten decades; refinement works on the
+    # incidence-form residual A (w * A^T G) - U
+    factorization(kind)
+    failures, worst = 0, 0.0
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        inst = random_graph_instance(rng)
+        x = 10.0 ** rng.uniform(-9, 1, size=inst.m)
+        Q, energy, spread = _pseudo_inverse_oracle(inst, x)
+        sol = _solve_or_ill_conditioned(inst, x, spread)
+        if sol is None:
+            failures += 1
+            continue
+        for got, ref in ((sol.Q, Q), (sol.energy_per_commodity, energy)):
+            worst = max(worst, np.abs(got - ref).max() / np.abs(ref).max())
+    assert failures <= ASSEMBLED_REFINEMENT_FAILURES[kind]
+    assert worst <= 1e-10
