@@ -1,7 +1,7 @@
 """Physarum-style capacity dynamics for multi-commodity network design."""
 
 from .analysis import (BregmanReport, BruteForceConfig, Certificate,
-                       LyapunovReport, beta_lyapunov, bregman_bound_check,
+                       LyapunovReport, bregman_bound_check,
                        brute_force_min_lyapunov, certificate,
                        check_lyapunov_monotone, finite_difference_gradient,
                        lyapunov, min_lyapunov_search, relative_entropy)
@@ -10,8 +10,7 @@ from .dynamics import (DiagnosticsConfig, DynamicsKind, DynamicsSpec,
                        TrajectoryRecord, euler_step, fixed_point_residual,
                        lambda_norms, rhs, run)
 from .electrical import (FlowSolution, GroundingPlan, assemble_laplacian,
-                         default_grounding, energy_dissipation, network_cost,
-                         solve_commodities)
+                         default_grounding, network_cost, solve_commodities)
 from .errors import (DivergenceError, InfeasibleDemandError, PhysanetError,
                      PruningError, ScenarioError, SolverError)
 from .model import (CapacityState, DemandSpec, EdgeMeta, InitialCapacity,

@@ -61,34 +61,27 @@ class MonotonicityReport:
     checked: int
 
 
-def lyapunov(instance: Instance, x: np.ndarray,
-             solution: FlowSolution) -> LyapunovReport:
-    """Value and analytic gradient of the cost/energy Lyapunov function."""
-    x = np.asarray(x, dtype=float)
-    cost = network_cost(instance, x)
-    energy = float(solution.energy_per_commodity.sum())
-    nrm2 = lambda_norms(solution, DynamicsKind.TWO_NORM) ** 2
-    grad = 0.5 * instance.c * (1.0 - nrm2)
-    return LyapunovReport(value=0.5 * (cost + energy), gradient=grad,
-                          cost=cost, energy=energy)
+def lyapunov(instance: Instance, x: np.ndarray, solution: FlowSolution,
+             beta: float | None = None) -> LyapunovReport:
+    """Value and analytic gradient of the cost/energy Lyapunov function.
 
-
-def beta_lyapunov(instance: Instance, x: np.ndarray, solution: FlowSolution,
-                  beta: float) -> LyapunovReport:
-    """Lyapunov function of the beta dynamics and its gradient.
-
-    At ``beta = 1`` this reduces to the plain cost/energy functional.  The
-    ``cost`` field holds the tilted cost term ``c^T x^(2-beta) / (2-beta)``.
+    With ``beta`` in (0, 2) it is the functional of the beta dynamics, whose
+    ``cost`` field holds the tilted cost term ``c^T x^(2-beta) / (2-beta)``;
+    at ``beta = 1`` that reduces to the plain functional.
     """
-    if not 0 < beta < 2:
+    if beta is not None and not 0 < beta < 2:
         raise ScenarioError("beta must lie in (0, 2)")
     x = np.asarray(x, dtype=float)
-    tilted = float(instance.c @ x ** (2.0 - beta)) / (2.0 - beta)
-    energy = float(solution.energy_per_commodity.sum())
     nrm2 = lambda_norms(solution, DynamicsKind.TWO_NORM) ** 2
-    grad = 0.5 * instance.c * (x ** (1.0 - beta) - nrm2)
-    return LyapunovReport(value=0.5 * (tilted + energy), gradient=grad,
-                          cost=tilted, energy=energy)
+    if beta is None:
+        cost = network_cost(instance, x)
+        grad = 0.5 * instance.c * (1.0 - nrm2)
+    else:
+        cost = float(instance.c @ x ** (2.0 - beta)) / (2.0 - beta)
+        grad = 0.5 * instance.c * (x ** (1.0 - beta) - nrm2)
+    energy = float(solution.energy_per_commodity.sum())
+    return LyapunovReport(value=0.5 * (cost + energy), gradient=grad,
+                          cost=cost, energy=energy)
 
 
 def finite_difference_gradient(instance: Instance, x: np.ndarray, eps: float,
@@ -102,10 +95,7 @@ def finite_difference_gradient(instance: Instance, x: np.ndarray, eps: float,
         raise ScenarioError("x must exceed eps in every coordinate")
 
     def value(xv: np.ndarray) -> float:
-        sol = solve_commodities(instance, xv)
-        if beta is None:
-            return lyapunov(instance, xv, sol).value
-        return beta_lyapunov(instance, xv, sol, beta).value
+        return lyapunov(instance, xv, solve_commodities(instance, xv), beta).value
 
     grad = np.zeros_like(x)
     for j in range(instance.m):
@@ -126,20 +116,19 @@ def certificate(instance: Instance, x: np.ndarray,
     ``gamma = min_e c_e / ||A_e^T P||_2`` restores feasibility, so
     ``gamma * Tr(B^T P)`` is a valid lower bound at every state.
     """
-    x = np.asarray(x, dtype=float)
+    lyap = lyapunov(instance, x, solution)
     nrm = lambda_norms(solution, DynamicsKind.TWO_NORM)
     # ||Q_e||_2 = x_e ||Lambda_e||_2 at the solution's capacities.
     primal = float(instance.c @ (solution.x * nrm))
-    energy = float(solution.energy_per_commodity.sum())
-    lyap = 0.5 * (network_cost(instance, x) + energy)
     worst = float(nrm.max()) if nrm.size else 0.0
     if worst <= 0.0:
         if float(np.abs(instance.B).sum()) > 0:
             raise SolverError("degenerate potentials: zero drops with nonzero demands")
-        return Certificate(primal=0.0, dual=0.0, lyapunov=lyap, gap=0.0, scaling=1.0)
+        return Certificate(primal=0.0, dual=0.0, lyapunov=lyap.value, gap=0.0,
+                           scaling=1.0)
     gamma = 1.0 / worst
-    dual = gamma * energy
-    return Certificate(primal=primal, dual=dual, lyapunov=lyap,
+    dual = gamma * lyap.energy
+    return Certificate(primal=primal, dual=dual, lyapunov=lyap.value,
                        gap=primal - dual, scaling=gamma)
 
 
@@ -176,8 +165,7 @@ def _golden_min(f, lo: float, hi: float, iters: int = 80):
 
 
 def _lyapunov_at(instance: Instance, x: np.ndarray) -> float:
-    sol = solve_commodities(instance, x)
-    return 0.5 * (network_cost(instance, x) + float(sol.energy_per_commodity.sum()))
+    return lyapunov(instance, x, solve_commodities(instance, x)).value
 
 
 def min_lyapunov_search(instance: Instance,
@@ -267,8 +255,7 @@ def bregman_bound_check(trajectory: Trajectory, x_star: np.ndarray,
     d_h = relative_entropy(x_star, x0)
     zero_coords = tuple(int(i) for i in np.nonzero(x_star <= 0)[0])
 
-    sol = solve_commodities(inst, x_star)
-    l_star = 0.5 * (network_cost(inst, x_star) + float(sol.energy_per_commodity.sum()))
+    l_star = lyapunov(inst, x_star, solve_commodities(inst, x_star)).value
 
     curve = []
     worst = 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -42,8 +43,6 @@ def _add_dynamics_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for sampled initial capacities")
     parser.add_argument("--record-every", type=int, default=100)
-    parser.add_argument("--record-gap", action="store_true",
-                        help="include the duality gap in trajectory records")
     parser.add_argument("--solver", default="auto", choices=["auto"],
                         help="ignored: the instance picks the factorization")
     parser.add_argument("--solve-tol", type=float, default=1e-10)
@@ -74,13 +73,19 @@ def _spec_document(spec: dynamics.DynamicsSpec) -> dict:
     }
 
 
-def _run_to_outputs(scenario: Scenario, args, outdir: Path) -> int:
+def _run_dynamics(scenario: Scenario, args, record_gap: bool = False):
+    """Integrate ``scenario`` as the dynamics flags say; returns x0 and the
+    trajectory."""
     spec = _spec_from_args(args)
     x0 = scenario.sample_x0(seed=args.seed)
     diag = dynamics.DiagnosticsConfig(record_every=args.record_every,
-                                      record_gap=args.record_gap)
-    traj = dynamics.run(scenario.instance, x0, spec, diag,
-                        solve_tol=args.solve_tol)
+                                      record_gap=record_gap)
+    return x0, dynamics.run(scenario.instance, x0, spec, diag,
+                            solve_tol=args.solve_tol)
+
+
+def _run_to_outputs(scenario: Scenario, args, outdir: Path) -> int:
+    x0, traj = _run_dynamics(scenario, args, record_gap=args.record_gap)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "scenario.json", scenario_document(scenario))
     traj.write_csv(outdir / "trajectory.csv")
@@ -91,32 +96,25 @@ def _run_to_outputs(scenario: Scenario, args, outdir: Path) -> int:
         "steps": traj.steps,
     })
     if traj.status == dynamics.TerminalStatus.SOLVER_FAILURE:
-        _error_json("solver", traj.message or "linear solver failed")
+        _error_json("solver", traj.message)
         return EXIT_RUNTIME
 
     final, sol = traj.final, traj.final_solution
-    cert = analysis.certificate(scenario.instance, final.x, sol)
-    cost = electrical.network_cost(scenario.instance, final.x)
-    energy = electrical.energy_dissipation(scenario.instance, final.x, sol)
+    lyap = analysis.lyapunov(scenario.instance, final.x, sol)
     report = {
         "scenario": scenario.name,
-        "dynamics": _spec_document(spec),
+        "dynamics": _spec_document(traj.spec),
         "seed": args.seed,
         "status": traj.status.value,
         "steps": traj.steps,
         "final": {
-            "cost": cost,
-            "energy": energy,
-            "lyapunov": 0.5 * (cost + energy),
+            "cost": lyap.cost,
+            "energy": lyap.energy,
+            "lyapunov": lyap.value,
             "residual": final.residual,
         },
-        "certificate": {
-            "primal": cert.primal,
-            "dual": cert.dual,
-            "lyapunov": cert.lyapunov,
-            "gap": cert.gap,
-            "scaling": cert.scaling,
-        },
+        "certificate": dataclasses.asdict(
+            analysis.certificate(scenario.instance, final.x, sol)),
     }
     _write_json(outdir / "report.json", report)
     if args.dot:
@@ -143,25 +141,21 @@ def _cmd_sweep(args) -> int:
     rows = []
     for L in values:
         scenario = scenarios.bowtie_scenario(L)
-        spec = _spec_from_args(args)
-        x0 = scenario.sample_x0(seed=args.seed)
         try:
-            traj = dynamics.run(scenario.instance, x0, spec,
-                                dynamics.DiagnosticsConfig(
-                                    record_every=args.record_every),
-                                solve_tol=args.solve_tol)
+            _, traj = _run_dynamics(scenario, args)
             if traj.status == dynamics.TerminalStatus.SOLVER_FAILURE:
-                raise SolverError(traj.message or "solver failure")
+                raise SolverError(traj.message)
             x, sol = traj.final_x, traj.final_solution
             idx = scenarios.bowtie_edge_indices(scenario.instance)
             q_t = float(sol.Q[idx["top"], 0])
             q_b = float(sol.Q[idx["bottom"], 0])
             q_m = float(sol.Q[idx["middle"], 0]) if "middle" in idx else 0.0
             x_m = float(x[idx["middle"]]) if "middle" in idx else 0.0
+            lyap = analysis.lyapunov(scenario.instance, x, sol)
             cert = analysis.certificate(scenario.instance, x, sol)
-            cost = electrical.network_cost(scenario.instance, x)
-            energy = electrical.energy_dissipation(scenario.instance, x, sol)
-            rows.append((L, q_b, q_m, q_t, x_m, cost, energy, cert.gap))
+            rows.append((L, q_b, q_m, q_t, x_m, lyap.cost, lyap.energy, cert.gap))
+        except ScenarioError:
+            raise  # a bad flag fails the command, not one L value
         except PhysanetError as exc:
             _error_json("sweep-value", f"L={L:g}: {exc}")
             nan = float("nan")
@@ -185,24 +179,13 @@ def _cmd_certify(args) -> int:
         if not args.scenario:
             raise ScenarioError("certify needs --scenario or --run-dir")
         scenario = load_scenario(Path(args.scenario))
-        spec = _spec_from_args(args)
-        x0 = scenario.sample_x0(seed=args.seed)
-        traj = dynamics.run(scenario.instance, x0, spec,
-                            dynamics.DiagnosticsConfig(record_every=args.record_every),
-                            solve_tol=args.solve_tol)
+        _, traj = _run_dynamics(scenario, args)
         if traj.status == dynamics.TerminalStatus.SOLVER_FAILURE:
-            _error_json("solver", traj.message or "solver failure")
+            _error_json("solver", traj.message)
             return EXIT_RUNTIME
         x, sol = traj.final_x, traj.final_solution
     cert = analysis.certificate(scenario.instance, x, sol)
-    payload = {
-        "primal": cert.primal,
-        "dual": cert.dual,
-        "lyapunov": cert.lyapunov,
-        "gap": cert.gap,
-        "scaling": cert.scaling,
-        "gap_tolerance": args.gap_tol,
-    }
+    payload = {**dataclasses.asdict(cert), "gap_tolerance": args.gap_tol}
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK if cert.gap <= args.gap_tol else EXIT_RUNTIME
 
@@ -267,6 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--dot", action="store_true", help="also write network.dot")
     p_run.add_argument("--svg", action="store_true", help="also write network.svg")
+    p_run.add_argument("--record-gap", action="store_true",
+                       help="include the duality gap in trajectory records")
     _add_dynamics_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 

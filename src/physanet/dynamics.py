@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, ScenarioError, SolverError
-from .electrical import (FlowSolution, GroundingPlan, default_grounding,
-                         network_cost, solve_commodities)
+from .electrical import (FlowSolution, GroundingPlan, network_cost,
+                         solve_commodities)
 from .model import CapacityState, Instance
 
 
@@ -266,14 +266,6 @@ def fixed_point_residual(instance: Instance, x: np.ndarray,
     return float(per_edge.max()) if per_edge.size else 0.0
 
 
-def _cost_term(instance: Instance, x: np.ndarray, spec: DynamicsSpec) -> float:
-    """Cost part of the kind-matched Lyapunov functional."""
-    if spec.kind == DynamicsKind.BETA:
-        b = spec.beta
-        return float(instance.c @ x ** (2.0 - b)) / (2.0 - b)
-    return float(instance.c @ x)
-
-
 def run(instance: Instance, x0, spec: DynamicsSpec,
         diagnostics: DiagnosticsConfig | None = None, *,
         solve_tol: float = 1e-10,
@@ -298,7 +290,6 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
         raise ScenarioError("x0 must be strictly positive")
     x = np.maximum(x, spec.capacity_floor)
 
-    plan = grounding if grounding is not None else default_grounding(instance)
     traj = Trajectory(instance=instance, spec=spec)
     b1 = np.abs(instance.B).sum(axis=0)
     b1_safe = np.where(b1 > 0, b1, 1.0)
@@ -310,7 +301,7 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
     while True:
         t = step * spec.h
         try:
-            sol = solve_commodities(instance, x, grounding=plan,
+            sol = solve_commodities(instance, x, grounding=grounding,
                                     solve_tol=solve_tol)
         except SolverError as exc:
             traj.status = TerminalStatus.SOLVER_FAILURE
@@ -319,7 +310,10 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
             return traj
         energy = float(sol.energy_per_commodity.sum())
         cost = network_cost(instance, x)
-        cost_term = _cost_term(instance, x, spec)
+        # Cost part of the kind-matched Lyapunov functional.
+        cost_term = cost
+        if spec.kind == DynamicsKind.BETA:
+            cost_term = float(instance.c @ x ** (2.0 - spec.beta)) / (2.0 - spec.beta)
         lyap = 0.5 * (cost_term + energy)
         norms = lambda_norms(sol, spec.kind)
         residual = fixed_point_residual(instance, x, sol, spec, norms=norms)

@@ -223,6 +223,13 @@ class _Context:
         self.inner_target = INNER_TOL_FACTOR * np.maximum(
             np.linalg.norm(self.U, axis=0), 1e-300)
         self._systems: dict[tuple[int, ...], _GroundedSystem] = {}
+        self._default_grounding: GroundingPlan | None = None
+
+    def default_grounding(self, instance: Instance) -> GroundingPlan:
+        """``default_grounding(instance)``, computed on first use."""
+        if self._default_grounding is None:
+            self._default_grounding = default_grounding(instance)
+        return self._default_grounding
 
     def system(self, instance: Instance, grounding: GroundingPlan) -> _GroundedSystem:
         system = self._systems.get(grounding.nodes)
@@ -329,7 +336,7 @@ def solve_commodities(instance: Instance, x: np.ndarray,
     inst = instance
     ctx = _context(inst)
     if grounding is None:
-        grounding = default_grounding(inst)
+        grounding = ctx.default_grounding(inst)
 
     U, W = ctx.U, ctx.W
     G = np.zeros(U.shape)
@@ -367,12 +374,6 @@ def solve_commodities(instance: Instance, x: np.ndarray,
     energy = _quadratic_forms(W, U.T @ G)
     return FlowSolution(G=G, W=W, drops=drops / inst.c[:, None], x=x,
                         energy_per_commodity=energy, residuals=residuals)
-
-
-def energy_dissipation(instance: Instance, x: np.ndarray,
-                       solution: FlowSolution) -> float:
-    """Total energy ``sum_i b_i^T p_i`` = ``Tr(P^T L(x) P)`` (nonnegative)."""
-    return float(solution.energy_per_commodity.sum())
 
 
 def network_cost(instance: Instance, x: np.ndarray) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import PruningError, ScenarioError
 from .model import (DemandSpec, InitialCapacity, Instance, Scenario,
-                    graph_instance)
+                    _components, graph_instance)
 
 
 def ring_scenario() -> Scenario:
@@ -357,11 +357,12 @@ def prune_degree_one(instance: Instance, x: np.ndarray, terminals,
     if not instance.is_incidence:
         raise ScenarioError("pruning needs a graph instance")
     x = np.asarray(x, dtype=float)
+    names = instance.node_ids
+    # (source, sink, amount) of each demand, by node index
+    pairs = [(int(np.argmax(b)), int(np.argmin(b)), float(b.max()))
+             for b in instance.B.T]
     protected = set(terminals)
-    for i in range(instance.k):
-        b = instance.B[:, i]
-        protected.add(instance.node_ids[int(np.argmax(b))])
-        protected.add(instance.node_ids[int(np.argmin(b))])
+    protected.update(names[v] for src, dst, _ in pairs for v in (src, dst))
 
     keep_edge = [i for i in range(instance.m) if x[i] >= capacity_threshold]
     alive = set(keep_edge)
@@ -395,35 +396,16 @@ def prune_degree_one(instance: Instance, x: np.ndarray, terminals,
                        if (v not in removed_nodes and degree[v] > 0) or v in protected)
 
     # Every demand pair must stay connected in the pruned network.
-    index = {v: i for i, v in enumerate(kept_nodes)}
-    parent = list(range(len(kept_nodes)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in kept_edges:
-        meta = instance.edge_meta[i]
-        ru, rv = find(index[meta.tail]), find(index[meta.head])
-        if ru != rv:
-            parent[ru] = rv
-    for i in range(instance.k):
-        b = instance.B[:, i]
-        src = instance.node_ids[int(np.argmax(b))]
-        dst = instance.node_ids[int(np.argmin(b))]
-        if find(index[src]) != find(index[dst]):
+    tails, heads = instance.edge_endpoints()
+    kept = np.array(kept_edges, dtype=np.intp)
+    labels = _components(instance.n, tails[kept], heads[kept])
+    for src, dst, _ in pairs:
+        if labels[src] != labels[dst]:
             raise PruningError(
                 f"pruning at threshold {capacity_threshold:g} disconnected "
-                f"demand {src}->{dst}", pair=(src, dst))
+                f"demand {names[src]}->{names[dst]}", pair=(names[src], names[dst]))
 
-    demands = []
-    for i in range(instance.k):
-        b = instance.B[:, i]
-        demands.append(DemandSpec(instance.node_ids[int(np.argmax(b))],
-                                  instance.node_ids[int(np.argmin(b))],
-                                  float(b.max())))
+    demands = [DemandSpec(names[src], names[dst], amount) for src, dst, amount in pairs]
     edges = [(instance.edge_meta[i].tail, instance.edge_meta[i].head,
               float(instance.c[i])) for i in kept_edges]
     sub = graph_instance(list(kept_nodes), edges, demands)

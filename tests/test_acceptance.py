@@ -70,7 +70,7 @@ def bowtie_run(kind, L, h=0.05, stop_tol=1e-6, max_steps=100_000, seed=0):
          "b": float(sol.Q[idx["bottom"], 0]),
          "m": float(sol.Q[idx["middle"], 0]) if "middle" in idx else 0.0}
     cost = pn.network_cost(scen.instance, x)
-    energy = pn.energy_dissipation(scen.instance, x, sol)
+    energy = pn.lyapunov(scen.instance, x, sol).energy
     return traj, q, cost, energy
 
 
@@ -169,7 +169,7 @@ def test_criterion_04_gradient_oracle():
         err = np.abs(fd - an).max() / max(np.abs(an).max(), 1e-12)
         worst_plain = max(worst_plain, err)
         beta = float(rng.uniform(0.3, 1.7))
-        an_b = pn.beta_lyapunov(inst, x, sol, beta).gradient
+        an_b = pn.lyapunov(inst, x, sol, beta=beta).gradient
         fd_b = pn.finite_difference_gradient(inst, x, 1e-5, beta=beta)
         err_b = np.abs(fd_b - an_b).max() / max(np.abs(an_b).max(), 1e-12)
         worst_beta = max(worst_beta, err_b)
@@ -275,7 +275,7 @@ def test_criterion_07_bowtie_no_middle_analytics():
     x = traj.final_x
     cost = pn.network_cost(scen.instance, x)
     sol = pn.solve_commodities(scen.instance, x)
-    energy = pn.energy_dissipation(scen.instance, x, sol)
+    energy = pn.lyapunov(scen.instance, x, sol).energy
     baseline = pn.shortest_path_union_baseline(scen.instance)
 
     assert cost < 20.0 and cost + energy < baseline.total  # sharing pays off

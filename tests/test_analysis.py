@@ -50,14 +50,14 @@ def test_beta_lyapunov_reduces_to_plain_at_beta_one():
         x = rng.uniform(0.3, 2.0, size=inst.m)
         sol = solved(inst, x)
         a = pn.lyapunov(inst, x, sol)
-        b = pn.beta_lyapunov(inst, x, sol, 1.0)
+        b = pn.lyapunov(inst, x, sol, beta=1.0)
         assert abs(a.value - b.value) <= 1e-12 * max(1.0, abs(a.value))
         assert np.abs(a.gradient - b.gradient).max() <= 1e-12
 
 
 def test_beta_lyapunov_single_edge_value(single_edge):
     x = np.ones(1)
-    rep = pn.beta_lyapunov(single_edge, x, solved(single_edge, x), 1.5)
+    rep = pn.lyapunov(single_edge, x, solved(single_edge, x), beta=1.5)
     # 0.5 * (c x^0.5 / 0.5 + b^T p) = 0.5 * (2 + 1)
     assert np.isclose(rep.value, 1.5)
 
@@ -71,7 +71,7 @@ def test_gradients_match_finite_differences():
         an = pn.lyapunov(inst, x, sol).gradient
         fd = pn.finite_difference_gradient(inst, x, 1e-5)
         assert np.abs(fd - an).max() <= 1e-5 * max(np.abs(an).max(), 1e-12)
-        an_b = pn.beta_lyapunov(inst, x, sol, 0.7).gradient
+        an_b = pn.lyapunov(inst, x, sol, beta=0.7).gradient
         fd_b = pn.finite_difference_gradient(inst, x, 1e-5, beta=0.7)
         assert np.abs(fd_b - an_b).max() <= 1e-5 * max(np.abs(an_b).max(), 1e-12)
 

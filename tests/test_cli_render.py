@@ -156,6 +156,47 @@ def test_cli_run_solves_each_state_once(tmp_path, ring_path, monkeypatch):
         assert np.array_equal(getattr(kept, name), getattr(fresh, name)), name
 
 
+@pytest.mark.parametrize("flags", [(), ("--dynamics", "beta", "--beta", "1.5")])
+def test_cli_report_matches_library(tmp_path, ring_path, monkeypatch, flags):
+    # the report's final and certificate blocks are exactly the library's
+    # values at the run's final solve; under the beta dynamics the report
+    # still gives the plain L(x), not the tilted value the trajectory records
+    _, trajs, _ = _count_solves(monkeypatch)
+    out = tmp_path / "run"
+    assert run_cli("run", "--scenario", ring_path, "--out", out, "--h", "0.5",
+                   "--seed", "7", "--max-steps", "100", *flags) == 0
+    (traj,) = trajs
+    inst, x, sol = traj.instance, traj.final_x, traj.final_solution
+    lyap, cert = pn.lyapunov(inst, x, sol), pn.certificate(inst, x, sol)
+    report = json.loads((out / "report.json").read_text())
+    assert report["final"] == {"cost": lyap.cost, "energy": lyap.energy,
+                               "lyapunov": lyap.value,
+                               "residual": traj.final.residual}
+    assert report["certificate"] == {"primal": cert.primal, "dual": cert.dual,
+                                     "lyapunov": cert.lyapunov, "gap": cert.gap,
+                                     "scaling": cert.scaling}
+    assert (traj.final.lyapunov == lyap.value) == (not flags)
+
+
+@pytest.mark.parametrize("command", ["sweep", "certify"])
+def test_cli_record_gap_is_only_a_run_flag(tmp_path, ring_path, capsys, command):
+    args = {"sweep": ("--values", "8.0", "--out", tmp_path / "sweep"),
+            "certify": ("--scenario", ring_path)}[command]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *args, "--record-gap")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --record-gap" in capsys.readouterr().err
+
+
+def test_cli_sweep_bad_dynamics_flags_are_config_errors(tmp_path, capsys):
+    # a flag error fails the whole sweep, not each L value in turn
+    assert run_cli("sweep", "--values", "8.0,9.0", "--out", tmp_path / "sweep",
+                   "--dynamics", "beta") == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+    assert not (tmp_path / "sweep" / "sweep_summary.csv").exists()
+
+
 def test_cli_run_first_solve_failure_writes_state(tmp_path, ring_path,
                                                   monkeypatch, capsys):
     calls, trajs, _ = _count_solves(monkeypatch)

@@ -163,13 +163,11 @@ def test_energy_minimality_gradient_orthogonal_to_circulations():
 def test_energy_dissipation_ring_values(ring):
     z = math.sqrt(2 / 3)
     sol = pn.solve_commodities(ring.instance, np.full(3, z))
-    assert np.isclose(pn.energy_dissipation(ring.instance, np.full(3, z), sol),
-                      math.sqrt(6))
+    assert np.isclose(sol.energy_per_commodity.sum(), math.sqrt(6))
     # two-edge configuration z=2 (third edge effectively absent)
     x2 = np.array([2.0, 2.0, 1e-12])
     sol2 = pn.solve_commodities(ring.instance, x2)
-    assert np.isclose(pn.energy_dissipation(ring.instance, x2, sol2), 2.0,
-                      atol=1e-6)
+    assert np.isclose(sol2.energy_per_commodity.sum(), 2.0, atol=1e-6)
 
 
 def test_network_cost_values(ring):
@@ -251,7 +249,31 @@ def test_general_matrix_dynamics_run():
     assert np.isclose(traj.final_x[0], 1.0, rtol=1e-5)
 
 
-TOKYO = Path(__file__).resolve().parents[1] / "scenarios" / "tokyo_like_synthetic.json"
+def test_general_matrix_default_grounding_is_computed_once(monkeypatch, ring):
+    # solves without a plan (the analysis oracles make many) reuse the
+    # instance's default grounding instead of finding a kernel basis per call
+    raw = pn.Instance(A=ring.instance.A.toarray(), c=np.ones(3), B=ring.instance.B)
+    calls = []
+    original = scipy.linalg.null_space
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "null_space", counted)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        pn.solve_commodities(raw, rng.uniform(0.5, 2.0, size=3))
+    pn.finite_difference_gradient(raw, np.ones(3), 1e-5)
+    pn.run(raw, np.ones(3), pn.DynamicsSpec(kind=pn.DynamicsKind.TWO_NORM,
+                                            h=0.1, max_steps=20))
+    assert len(calls) == 1
+    # an explicit plan still takes its own kernel basis
+    pn.default_grounding(raw, 1)
+    assert len(calls) == 2
+
+
+TOKYO =Path(__file__).resolve().parents[1] / "scenarios" / "tokyo_like_synthetic.json"
 
 
 def _path_graph(n):
