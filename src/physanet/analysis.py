@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,12 +21,29 @@ from .dynamics import DynamicsKind, Trajectory, lambda_norms
 from .model import Instance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LyapunovReport:
+    """Value, cost and energy of the (beta-)Lyapunov function at ``x``.
+
+    The gradient needs the per-edge drop norms, which the value does not,
+    so it is computed from ``solution`` on first access.
+    """
+
     value: float
-    gradient: np.ndarray
     cost: float
     energy: float
+    c: np.ndarray
+    x: np.ndarray
+    solution: FlowSolution
+    beta: float | None = None
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        """(m,) analytic gradient ``dL/dx``."""
+        nrm2 = lambda_norms(self.solution, DynamicsKind.TWO_NORM) ** 2
+        if self.beta is None:
+            return 0.5 * self.c * (1.0 - nrm2)
+        return 0.5 * self.c * (self.x ** (1.0 - self.beta) - nrm2)
 
 
 @dataclass(frozen=True)
@@ -71,17 +89,14 @@ def lyapunov(instance: Instance, x: np.ndarray, solution: FlowSolution,
     """
     if beta is not None and not 0 < beta < 2:
         raise ScenarioError("beta must lie in (0, 2)")
-    x = np.asarray(x, dtype=float)
-    nrm2 = lambda_norms(solution, DynamicsKind.TWO_NORM) ** 2
+    x = np.array(x, dtype=float)  # kept for the gradient, so not a view
     if beta is None:
         cost = network_cost(instance, x)
-        grad = 0.5 * instance.c * (1.0 - nrm2)
     else:
         cost = float(instance.c @ x ** (2.0 - beta)) / (2.0 - beta)
-        grad = 0.5 * instance.c * (x ** (1.0 - beta) - nrm2)
     energy = float(solution.energy_per_commodity.sum())
-    return LyapunovReport(value=0.5 * (cost + energy), gradient=grad,
-                          cost=cost, energy=energy)
+    return LyapunovReport(value=0.5 * (cost + energy), cost=cost, energy=energy,
+                          c=instance.c, x=x, solution=solution, beta=beta)
 
 
 def finite_difference_gradient(instance: Instance, x: np.ndarray, eps: float,

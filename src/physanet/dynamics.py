@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, ScenarioError, SolverError
-from .electrical import (FlowSolution, GroundingPlan, network_cost,
-                         solve_commodities)
+from .electrical import (FlowSolution, GroundingPlan, _single_threaded_blas,
+                         network_cost, solve_commodities)
 from .model import CapacityState, Instance
 
 
@@ -278,6 +278,11 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
     :class:`DivergenceError` if the Lyapunov cost term ever exceeds twice
     the starting Lyapunov value, which the continuous dynamics cannot do.
     The returned trajectory holds the solve at its final state.
+
+    The steps run with every loaded OpenBLAS set to one thread, and the
+    previous thread counts are restored on return or raise.  Those counts
+    are process-global, so concurrent runs from several Python threads are
+    not thread-safe in that respect.
     """
     diag = diagnostics or DiagnosticsConfig()
     if isinstance(x0, CapacityState):
@@ -298,59 +303,60 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
     bound = None
     slack_accum = 0.0
     step = 0
-    while True:
-        t = step * spec.h
-        try:
-            sol = solve_commodities(instance, x, grounding=grounding,
-                                    solve_tol=solve_tol)
-        except SolverError as exc:
-            traj.status = TerminalStatus.SOLVER_FAILURE
-            traj.message = f"step {step}: {exc}"
-            traj.steps = step
-            return traj
-        energy = float(sol.energy_per_commodity.sum())
-        cost = network_cost(instance, x)
-        # Cost part of the kind-matched Lyapunov functional.
-        cost_term = cost
-        if spec.kind == DynamicsKind.BETA:
-            cost_term = float(instance.c @ x ** (2.0 - spec.beta)) / (2.0 - spec.beta)
-        lyap = 0.5 * (cost_term + energy)
-        norms = lambda_norms(sol, spec.kind)
-        residual = fixed_point_residual(instance, x, sol, spec, norms=norms)
-        if bound is None:
-            bound = 2.0 * lyap
+    with _single_threaded_blas():
+        while True:
+            t = step * spec.h
+            try:
+                sol = solve_commodities(instance, x, grounding=grounding,
+                                        solve_tol=solve_tol)
+            except SolverError as exc:
+                traj.status = TerminalStatus.SOLVER_FAILURE
+                traj.message = f"step {step}: {exc}"
+                traj.steps = step
+                return traj
+            energy = float(sol.energy_per_commodity.sum())
+            cost = network_cost(instance, x)
+            # Cost part of the kind-matched Lyapunov functional.
+            cost_term = cost
+            if spec.kind == DynamicsKind.BETA:
+                cost_term = float(instance.c @ x ** (2.0 - spec.beta)) / (2.0 - spec.beta)
+            lyap = 0.5 * (cost_term + energy)
+            norms = lambda_norms(sol, spec.kind)
+            residual = fixed_point_residual(instance, x, sol, spec, norms=norms)
+            if bound is None:
+                bound = 2.0 * lyap
 
-        record_now = (step % diag.record_every == 0)
-        done = residual <= spec.stop_tol or step >= spec.max_steps
-        if record_now or done:
-            gap = None
-            if diag.record_gap:
-                from .analysis import certificate
-                gap = certificate(instance, x, sol).gap
-            ratio = float("nan")
-            if is_incidence and instance.k > 0:
-                # |Q| formed here and dropped, not cached on the kept solution
-                flows = x[:, None] * np.abs(sol.drops @ sol.W)
-                ratio = float((flows / b1_safe[None, :]).max())
-            traj.records.append(TrajectoryRecord(
-                t=t, x=x.copy(), lyapunov=lyap, cost=cost, energy=energy,
-                residual=residual, gap=gap, slack_from_prev=slack_accum,
-                flow_ratio=ratio))
-            slack_accum = 0.0
-        if cost_term > bound * (1.0 + 1e-9):
-            raise DivergenceError(
-                f"step {step}: cost term {cost_term:.6g} "
-                f"exceeds bounded-domain limit {bound:.6g}")
-        if done:
-            traj.status = (TerminalStatus.CONVERGED
-                           if residual <= spec.stop_tol else TerminalStatus.MAX_STEPS)
-            traj.steps = step
-            traj.final_solution = sol
-            return traj
+            record_now = (step % diag.record_every == 0)
+            done = residual <= spec.stop_tol or step >= spec.max_steps
+            if record_now or done:
+                gap = None
+                if diag.record_gap:
+                    from .analysis import certificate
+                    gap = certificate(instance, x, sol).gap
+                ratio = float("nan")
+                if is_incidence and instance.k > 0:
+                    # |Q| formed here and dropped, not cached on the kept solution
+                    flows = x[:, None] * np.abs(sol.drops @ sol.W)
+                    ratio = float((flows / b1_safe[None, :]).max())
+                traj.records.append(TrajectoryRecord(
+                    t=t, x=x.copy(), lyapunov=lyap, cost=cost, energy=energy,
+                    residual=residual, gap=gap, slack_from_prev=slack_accum,
+                    flow_ratio=ratio))
+                slack_accum = 0.0
+            if cost_term > bound * (1.0 + 1e-9):
+                raise DivergenceError(
+                    f"step {step}: cost term {cost_term:.6g} "
+                    f"exceeds bounded-domain limit {bound:.6g}")
+            if done:
+                traj.status = (TerminalStatus.CONVERGED
+                               if residual <= spec.stop_tol else TerminalStatus.MAX_STEPS)
+                traj.steps = step
+                traj.final_solution = sol
+                return traj
 
-        xdot = rhs(instance, x, sol, spec, norms=norms)
-        # Second-order Euler error allowance for the Lyapunov decrease.
-        curvature = float((instance.c / x).max()) if x.size else 0.0
-        slack_accum += 1e-10 * abs(lyap) + spec.h ** 2 * float(xdot @ xdot) * curvature
-        x = euler_step(x, xdot, spec.h, spec.capacity_floor)
-        step += 1
+            xdot = rhs(instance, x, sol, spec, norms=norms)
+            # Second-order Euler error allowance for the Lyapunov decrease.
+            curvature = float((instance.c / x).max()) if x.size else 0.0
+            slack_accum += 1e-10 * abs(lyap) + spec.h ** 2 * float(xdot @ xdot) * curvature
+            x = euler_step(x, xdot, spec.h, spec.capacity_floor)
+            step += 1

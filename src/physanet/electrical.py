@@ -21,12 +21,17 @@ without pivoting.  The matrix is symmetric positive definite, so diagonal
 pivots are as stable as Cholesky.  Iterative refinement works on the
 residual in incidence form, ``A (w * A^T G) - U``, which also serves the
 final check.
+
+Each step's BLAS calls are small, so ``dynamics.run`` integrates with every
+OpenBLAS in the process set to one thread (``_single_threaded_blas``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
@@ -45,7 +50,9 @@ DEFAULT_SOLVE_TOL = 1e-10
 # 2 threads): n=153 0.56/0.66, n=165 0.67/0.79, n=174 0.64/0.80,
 # n=199 0.61/0.68, n=237 1.00/0.86, n=279 1.19/1.23, n=393 2.43/1.81.
 # Dense is faster up to about 200 and LU from about 240 on; the limit
-# stays at 150 until a change of it is measured on its own.
+# stays at 150 until a change of it is measured on its own.  The table was
+# taken with 2 OpenBLAS threads; ``dynamics.run`` now solves with one, and
+# the crossover under one thread has not been measured.
 DENSE_SOLVER_MAX_N = 150
 
 # Iterative refinement stops at this fraction of ``solve_tol`` so that the
@@ -311,6 +318,61 @@ def _factor(Lr):
     def solve(R):
         return scipy.linalg.cho_solve(factor, R, check_finite=False)
     return solve
+
+
+@cache
+def _openblas_controls() -> tuple:
+    """``(get_num_threads, set_num_threads)`` of each OpenBLAS loaded.
+
+    numpy and scipy wheels each bundle their own OpenBLAS, with symbols
+    prefixed ``scipy_`` and, for the 64-bit integer build, suffixed ``64_``.
+    Empty where ``/proc/self/maps`` is missing or no OpenBLAS is loaded.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            # The path is the sixth field of a mapping line.
+            paths = sorted({line.split(None, 5)[5].strip() for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    names = [(f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+             for prefix in ("openblas_", "scipy_openblas_") for suffix in ("", "64_")]
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in names:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Run the block with every loaded OpenBLAS on one thread.
+
+    numpy's and scipy's OpenBLAS keep separate thread pools; on the small
+    per-step kernels their workers only compete with the main thread for
+    the cores.  The thread counts are process-global state: the previous
+    counts come back on exit, also when the block raises, but blocks
+    running at once in several Python threads can restore each other's
+    counts out of order, so this is not thread-safe.
+    """
+    controls = _openblas_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
 
 
 def _quadratic_forms(W: np.ndarray, M: np.ndarray) -> np.ndarray:

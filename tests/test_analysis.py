@@ -43,6 +43,19 @@ def test_lyapunov_single_edge(single_edge):
     assert np.abs(rep.gradient).max() <= 1e-12
 
 
+def test_lyapunov_gradient_is_computed_on_first_access(ring):
+    x = np.array([0.4, 1.1, 0.7])
+    sol = solved(ring.instance, x)
+    rep = pn.lyapunov(ring.instance, x, sol, beta=0.7)
+    assert np.isclose(rep.value, 0.5 * (rep.cost + rep.energy))
+    assert "lambda_sq_norms" not in vars(sol)
+    x[:] = 1.0  # the report keeps its own copy of x
+    nrm2 = pn.dynamics.lambda_norms(sol, K.TWO_NORM) ** 2
+    expected = 0.5 * ring.instance.c * (np.array([0.4, 1.1, 0.7]) ** 0.3 - nrm2)
+    assert np.array_equal(rep.gradient, expected)
+    assert rep.gradient is rep.gradient
+
+
 def test_beta_lyapunov_reduces_to_plain_at_beta_one():
     rng = np.random.default_rng(17)
     for _ in range(5):

@@ -253,3 +253,64 @@ def test_run_computes_edge_norms_once_per_step(ring, monkeypatch):
                       pn.DiagnosticsConfig(record_every=100))
         assert traj.steps == 40
         assert calls == [kind] * 41
+
+
+def _blas_thread_counts(controls) -> list[int]:
+    return [get() for get, _ in controls]
+
+
+@pytest.fixture
+def blas_two_threads():
+    """Every OpenBLAS the solver controls at 2 threads; counts restored after."""
+    controls = pn.electrical._openblas_controls()
+    if "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        assert controls, "numpy links OpenBLAS but no thread control was found"
+    before = _blas_thread_counts(controls)
+    for _, set_threads in controls:
+        set_threads(2)
+    yield controls
+    for (_, set_threads), count in zip(controls, before):
+        set_threads(count)
+
+
+def _record_blas_at_factor(monkeypatch, controls) -> list[list[int]]:
+    seen = []
+    factor = pn.electrical._factor
+
+    def recorded(Lr):
+        seen.append(_blas_thread_counts(controls))
+        return factor(Lr)
+
+    monkeypatch.setattr(pn.electrical, "_factor", recorded)
+    return seen
+
+
+def test_run_solves_with_one_blas_thread_and_restores(ring, monkeypatch,
+                                                      blas_two_threads):
+    seen = _record_blas_at_factor(monkeypatch, blas_two_threads)
+    spec = pn.DynamicsSpec(kind=K.TWO_NORM, h=0.5, max_steps=5, stop_tol=1e-12)
+    traj = pn.run(ring.instance, np.ones(3), spec)
+    assert traj.steps == 5 and len(seen) == 6
+    assert seen == [[1] * len(blas_two_threads)] * 6
+    assert _blas_thread_counts(blas_two_threads) == [2] * len(blas_two_threads)
+
+
+def test_run_restores_blas_threads_after_divergence(ring, monkeypatch,
+                                                    blas_two_threads):
+    seen = _record_blas_at_factor(monkeypatch, blas_two_threads)
+    monkeypatch.setattr(pn.dynamics, "rhs",
+                        lambda instance, x, solution, spec, **kw: np.asarray(x))
+    spec = pn.DynamicsSpec(kind=K.TWO_NORM, h=0.5, max_steps=10_000)
+    with pytest.raises(DivergenceError):
+        pn.run(ring.instance, np.ones(3), spec)
+    assert seen and all(counts == [1] * len(blas_two_threads) for counts in seen)
+    assert _blas_thread_counts(blas_two_threads) == [2] * len(blas_two_threads)
+
+
+def test_single_threaded_blas_is_noop_without_controls(ring, monkeypatch,
+                                                       blas_two_threads):
+    monkeypatch.setattr(pn.electrical, "_openblas_controls", lambda: ())
+    seen = _record_blas_at_factor(monkeypatch, blas_two_threads)
+    spec = pn.DynamicsSpec(kind=K.TWO_NORM, h=0.5, max_steps=3, stop_tol=1e-12)
+    pn.run(ring.instance, np.ones(3), spec)
+    assert seen == [[2] * len(blas_two_threads)] * 4
