@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dynamics, electrical, render, scenarios
-from .errors import PhysanetError, ScenarioError, SolverError
+from .errors import DivergenceError, PhysanetError, ScenarioError, SolverError
 from .model import Scenario, load_scenario, scenario_document
 
 EXIT_OK = 0
@@ -84,17 +84,27 @@ def _run_dynamics(scenario: Scenario, args, record_gap: bool = False):
                             solve_tol=args.solve_tol)
 
 
-def _run_to_outputs(scenario: Scenario, args, outdir: Path) -> int:
-    x0, traj = _run_dynamics(scenario, args, record_gap=args.record_gap)
+def _write_state(outdir: Path, scenario: Scenario, x, status: str, steps: int) -> None:
+    """``scenario.json`` and ``final_state.json``: what ``certify`` and
+    ``export`` read back from a run directory."""
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "scenario.json", scenario_document(scenario))
-    traj.write_csv(outdir / "trajectory.csv")
-    # A failed first solve leaves no record; the state is then x0.
     _write_json(outdir / "final_state.json", {
-        "x": [float(v) for v in (traj.final_x if traj.records else x0)],
-        "status": traj.status.value,
-        "steps": traj.steps,
+        "x": [float(v) for v in x], "status": status, "steps": steps,
     })
+
+
+def _run_to_outputs(scenario: Scenario, args, outdir: Path) -> int:
+    try:
+        x0, traj = _run_dynamics(scenario, args, record_gap=args.record_gap)
+    except DivergenceError as exc:
+        # The state where the bound was crossed; the error still fails the run.
+        _write_state(outdir, scenario, exc.x, "diverged", exc.step)
+        raise
+    # A failed first solve leaves no record; the state is then x0.
+    _write_state(outdir, scenario, traj.final_x if traj.records else x0,
+                 traj.status.value, traj.steps)
+    traj.write_csv(outdir / "trajectory.csv")
     if traj.status == dynamics.TerminalStatus.SOLVER_FAILURE:
         _error_json("solver", traj.message)
         return EXIT_RUNTIME

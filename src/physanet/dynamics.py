@@ -346,7 +346,7 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
             if cost_term > bound * (1.0 + 1e-9):
                 raise DivergenceError(
                     f"step {step}: cost term {cost_term:.6g} "
-                    f"exceeds bounded-domain limit {bound:.6g}")
+                    f"exceeds bounded-domain limit {bound:.6g}", step=step, x=x.copy())
             if done:
                 traj.status = (TerminalStatus.CONVERGED
                                if residual <= spec.stop_tol else TerminalStatus.MAX_STEPS)

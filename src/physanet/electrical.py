@@ -14,13 +14,16 @@ factored once per call and solved for the basis potentials ``G`` in
 are all computed from ``G`` and ``W`` in ``s`` columns; the k-column
 ``P``, ``Q`` and ``Lambda`` are formed only when asked for.
 
-Large graphs are factored by sparse LU.  The grounded Laplacian's pattern
-is fixed per grounding, so a symmetric minimum-degree order is computed
-for it once, and every step factors the reordered matrix on its diagonal,
-without pivoting.  The matrix is symmetric positive definite, so diagonal
-pivots are as stable as Cholesky.  Iterative refinement works on the
-residual in incidence form, ``A (w * A^T G) - U``, which also serves the
-final check.
+The grounded Laplacian's pattern is fixed per grounding, so its layout
+is computed once.  A graph's nodes are ordered by reverse Cuthill-McKee,
+and every step assembles the matrix straight into LAPACK band storage and
+factors it by banded Cholesky; a general matrix takes the full width.  A
+graph whose band is wider than ``MAX_BANDWIDTH`` (a hub, long edges) is
+ordered by symmetric minimum degree instead, and every step factors the reordered
+CSC matrix by sparse LU on its diagonal, without pivoting, which for a
+symmetric positive definite matrix is as stable as Cholesky.  Iterative
+refinement works on the residual in incidence form,
+``A (w * A^T G) - U``, which also serves the final check.
 
 Each step's BLAS calls are small, so ``dynamics.run`` integrates with every
 OpenBLAS in the process set to one thread (``_single_threaded_blas``).
@@ -36,6 +39,7 @@ from functools import cache, cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.csgraph
 import scipy.sparse.linalg as spla
 
 from .errors import ScenarioError, SolverError
@@ -43,17 +47,16 @@ from .model import Instance
 
 DEFAULT_SOLVE_TOL = 1e-10
 
-# Direct factorizations stay accurate when capacities span ten orders of
-# magnitude (edges parked at the floor).  Incidence instances above this
-# many nodes take sparse LU, all others dense Cholesky.  Per solve on grids
-# (ms, dense/LU, median of 10 alternating repeats of 30 calls, OpenBLAS
-# 2 threads): n=153 0.56/0.66, n=165 0.67/0.79, n=174 0.64/0.80,
-# n=199 0.61/0.68, n=237 1.00/0.86, n=279 1.19/1.23, n=393 2.43/1.81.
-# Dense is faster up to about 200 and LU from about 240 on; the limit
-# stays at 150 until a change of it is measured on its own.  The table was
-# taken with 2 OpenBLAS threads; ``dynamics.run`` now solves with one, and
-# the crossover under one thread has not been measured.
-DENSE_SOLVER_MAX_N = 150
+# Incidence systems whose reverse Cuthill-McKee half-bandwidth b is at
+# most this are factored as a band, wider ones by sparse LU.  Band work
+# grows like size * b^2 and LU work on these graphs about like size, so the
+# crossover is a width.  Factor plus a 19-column solve at log-uniform
+# capacities, one OpenBLAS thread (ms, band/LU, median of 3 x 8 x 30 calls):
+# generated grids of 1,568 nodes with 0, 10, 15, 30 random long edges
+# (b = 73, 150, 188, 245) 3.7/5.9, 5.5/6.5, 6.7/5.9, 9.8/6.4; of 3,217
+# nodes (b = 97, 165, 194, 220) 7.5/13.3, 10.4/9.9, 12.0/9.4, 18.0/13.1;
+# of 6,305 nodes (b = 133, 212) 18.9/20.8, 27.0/20.8.
+MAX_BANDWIDTH = 160
 
 # Iterative refinement stops at this fraction of ``solve_tol`` so that the
 # per-commodity residual check after it passes with room to spare.
@@ -140,29 +143,35 @@ def _demand_basis(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
 class _GroundedSystem:
     """The grounded Laplacian ``L(x)[keep][:, keep]`` for one grounding plan.
 
-    It also fixes the format the solver factors: CSC for incidence
-    instances with more than ``DENSE_SOLVER_MAX_N`` nodes (``sparse``), a
-    dense array otherwise.  For incidence instances the position of each
-    edge's four entries is fixed, so assembly is one ``bincount`` per call.
+    The layout the solver factors is fixed when the system is built, from
+    the pattern alone.  ``keep`` and ``rhs`` list the grounded nodes in
+    elimination order.
 
-    A sparse system also fixes its elimination order, once: a symmetric
-    minimum-degree order of the pattern.  ``keep`` and ``rhs`` list the
-    grounded nodes in that order, and ``factor_order`` gathers an assembled
-    matrix into it.
+    - Band (the default): incidence instances order the nodes by reverse
+      Cuthill-McKee, and each edge's lower-triangle entries get a fixed
+      slot in LAPACK's lower band storage ``(b + 1, size)``, so assembly
+      is one ``bincount``.  General matrices keep their node order and
+      take the full width, ``b = size - 1``.
+    - Sparse LU (``splu``): an incidence system whose half-bandwidth
+      ``b`` exceeds ``MAX_BANDWIDTH`` is ordered by symmetric minimum
+      degree instead and refilled into a fixed CSC pattern.
     """
 
     def __init__(self, instance: Instance, nodes: tuple[int, ...], U: np.ndarray):
         n, m = instance.n, instance.m
-        self.keep = np.setdiff1d(np.arange(n), np.array(nodes, dtype=np.intp))
-        size = self.size = self.keep.size
-        self.rhs = np.ascontiguousarray(U[self.keep])  # grounded basis columns
-        self.sparse = instance.is_incidence and n > DENSE_SOLVER_MAX_N
+        keep = np.setdiff1d(np.arange(n), np.array(nodes, dtype=np.intp))
+        size = self.size = keep.size
+        self.splu = False
         if not instance.is_incidence:
-            self.A_keep = instance.A[self.keep]
+            self.A_keep = instance.A[keep]
+            self.width = size  # b = size - 1
+            rows, cols = np.tril_indices(size)
+            self.slot, self.src = _band_slot(rows, cols, self.width), rows * size + cols
+            self.keep, self.rhs = keep, np.ascontiguousarray(U[keep])
             return
         self.A_keep = None
         pos = np.full(n, -1, dtype=np.intp)
-        pos[self.keep] = np.arange(size)
+        pos[keep] = np.arange(size)
         tails, heads = instance.edge_endpoints()
         pt, ph = pos[tails], pos[heads]
         rows = np.concatenate([pt, ph, pt, ph])
@@ -170,42 +179,83 @@ class _GroundedSystem:
         edge = np.tile(np.arange(m), 4)
         sign = np.repeat([-1.0, -1.0, 1.0, 1.0], m)
         inside = (rows >= 0) & (cols >= 0)
-        rows, cols = rows[inside], cols[inside]
+        self.rows, self.cols = rows[inside], cols[inside]
         self.edge, self.sign = edge[inside], sign[inside]
-        if not self.sparse:
-            self.flat = rows * size + cols
-            return
-        self.slot, self.indices, self.indptr = _csc_pattern(rows, cols, size)
-        # The order depends on the pattern alone.  Unit conductances plus the
-        # identity give a positive definite matrix on it whatever the plan;
-        # perm_c maps each grounded node to its place in the order, and the
-        # reordered pattern is one gather of the assembled entries.
-        unit = self.matrix(np.ones(m)) + sp.identity(size, format="csc")
-        perm_c = spla.splu(unit, permc_spec="MMD_AT_PLUS_A",
-                           options={"SymmetricMode": True}).perm_c.astype(np.intp)
-        order, self.factor_indices, self.factor_indptr = _csc_pattern(
-            perm_c[self.indices], np.repeat(perm_c, np.diff(self.indptr)), size)
-        self.gather = np.argsort(order)
-        ordered = np.argsort(perm_c)
-        self.keep, self.rhs = self.keep[ordered], self.rhs[ordered]
+        pattern = sp.csr_matrix((np.ones(self.rows.size), (self.rows, self.cols)),
+                                shape=(size, size))
+        order = scipy.sparse.csgraph.reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        rank = np.empty(size, dtype=np.intp)
+        rank[order] = np.arange(size)
+        r, c = rank[self.rows], rank[self.cols]
+        bandwidth = int(np.abs(r - c).max(initial=0))
+        self.splu = bandwidth > MAX_BANDWIDTH
+        if self.splu:
+            # Unit conductances plus the identity give a positive definite
+            # matrix on the pattern whatever the plan; perm_c maps each
+            # grounded node to its place in the minimum-degree order.
+            unit = (sp.csc_matrix((self.sign, (self.rows, self.cols)), shape=(size, size))
+                    + sp.identity(size, format="csc"))
+            perm_c = spla.splu(unit, permc_spec="MMD_AT_PLUS_A",
+                               options={"SymmetricMode": True}).perm_c.astype(np.intp)
+            self.slot, self.indices, self.indptr = _csc_pattern(
+                perm_c[self.rows], perm_c[self.cols], size)
+            order = np.argsort(perm_c)
+        else:
+            lower = r >= c
+            self.width = bandwidth + 1
+            self.slot = _band_slot(r[lower], c[lower], self.width)
+            self.band_edge, self.band_sign = self.edge[lower], self.sign[lower]
+        self.keep, self.rhs = keep[order], np.ascontiguousarray(U[keep[order]])
 
     def matrix(self, w: np.ndarray):
+        """The grounded Laplacian in ascending node order: CSC for a
+        sparse-LU system, a dense array otherwise."""
         if self.A_keep is not None:
             return (self.A_keep * w) @ self.A_keep.T
-        vals = self.sign * w[self.edge]
-        if self.sparse:
-            data = np.bincount(self.slot, weights=vals, minlength=self.indices.size)
-            return sp.csc_matrix((data, self.indices, self.indptr),
-                                 shape=(self.size, self.size))
-        return np.bincount(self.flat, weights=vals,
-                           minlength=self.size * self.size).reshape(self.size, self.size)
+        L = sp.csc_matrix((self.sign * w[self.edge], (self.rows, self.cols)),
+                          shape=(self.size, self.size))
+        return L if self.splu else L.toarray()
 
-    def factor_order(self, Lr):
-        """``Lr`` with rows and columns in the order of ``keep``."""
-        if not self.sparse:
-            return Lr
-        return sp.csc_matrix((Lr.data[self.gather], self.factor_indices,
-                              self.factor_indptr), shape=(self.size, self.size))
+    def factor(self, w: np.ndarray):
+        """Factor the system at conductances ``w``; returns the solve for
+        right-hand sides in the order of ``keep``.
+
+        The matrix is symmetric positive definite: the band takes Cholesky,
+        and sparse LU takes the diagonal pivots in the fixed order, which
+        for such a matrix is as stable as Cholesky.
+        """
+        if self.splu:
+            data = np.bincount(self.slot, weights=self.sign * w[self.edge],
+                               minlength=self.indices.size)
+            Lr = sp.csc_matrix((data, self.indices, self.indptr),
+                               shape=(self.size, self.size))
+            try:
+                return spla.splu(Lr, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                                 options={"SymmetricMode": True}).solve
+            except RuntimeError as exc:
+                raise SolverError(f"sparse factorization failed: {exc}") from exc
+        if self.A_keep is not None:
+            flat = np.zeros(self.width * self.size)
+            flat[self.slot] = self.matrix(w).ravel()[self.src]
+        else:
+            flat = np.bincount(self.slot, weights=self.band_sign * w[self.band_edge],
+                               minlength=self.width * self.size)
+        try:
+            cb = scipy.linalg.cholesky_banded(flat.reshape(self.size, self.width).T,
+                                              lower=True, overwrite_ab=True,
+                                              check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise SolverError(f"grounded Laplacian is not positive definite: {exc}") from exc
+
+        def solve(R):
+            return scipy.linalg.cho_solve_banded((cb, True), R, check_finite=False)
+        return solve
+
+
+def _band_slot(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
+    """Flat slot of lower-triangle entries in Fortran-ordered lower band
+    storage of ``width`` rows: ``ab[i - j, j] = a[i, j]``."""
+    return cols * width + (rows - cols)
 
 
 def _csc_pattern(rows: np.ndarray, cols: np.ndarray, size: int):
@@ -259,9 +309,9 @@ def assemble_laplacian(instance: Instance, x: np.ndarray, *,
     """Weighted Laplacian ``A X C^-1 A^T`` (symmetric PSD, n x n).
 
     With a ``grounding`` plan, the principal submatrix on the nodes it does
-    not pin.  The result is in the format ``solve_commodities`` factors: a
-    CSC matrix for incidence instances with more than ``DENSE_SOLVER_MAX_N``
-    nodes, a dense array otherwise.
+    not pin.  A CSC matrix where the system is factored by sparse LU
+    (graphs whose band is wider than ``MAX_BANDWIDTH``), a dense array
+    otherwise; the band layout the solver reads stays internal.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
@@ -295,29 +345,6 @@ def default_grounding(instance: Instance, variant: int = 0) -> GroundingPlan:
     if abs(np.linalg.det(sub)) < 1e-12:
         raise SolverError("failed to find a nonsingular grounding set")
     return GroundingPlan(nodes=tuple(nodes))
-
-
-def _factor(Lr):
-    """Factor the grounded Laplacian once; returns the solve for it.
-
-    ``Lr`` is symmetric positive definite.  Sparse LU takes the diagonal
-    pivots in the given order, which for such a matrix is as stable as
-    Cholesky; dense matrices take Cholesky.
-    """
-    if sp.issparse(Lr):
-        try:
-            return spla.splu(Lr, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                             options={"SymmetricMode": True}).solve
-        except RuntimeError as exc:
-            raise SolverError(f"sparse factorization failed: {exc}") from exc
-    try:
-        factor = scipy.linalg.cho_factor(Lr, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverError(f"grounded Laplacian is not positive definite: {exc}") from exc
-
-    def solve(R):
-        return scipy.linalg.cho_solve(factor, R, check_finite=False)
-    return solve
 
 
 @cache
@@ -386,9 +413,9 @@ def solve_commodities(instance: Instance, x: np.ndarray,
     """Solve ``L(x) p_i = b_i`` for all commodities and derive flows.
 
     One factorization of the grounded Laplacian serves every column of the
-    demand basis, followed by iterative refinement.  The instance decides
-    the factorization: sparse LU for incidence instances with more than
-    ``DENSE_SOLVER_MAX_N`` nodes, dense Cholesky otherwise.
+    demand basis, followed by iterative refinement.  The pattern decides
+    the factorization, once per grounding plan: banded Cholesky, or sparse
+    LU for graphs whose band is wider than ``MAX_BANDWIDTH``.
 
     The returned quantities ``b^T p``, ``p^T L p`` and ``Q`` are independent
     of the grounding plan.  Raises :class:`SolverError` when the relative
@@ -406,8 +433,11 @@ def solve_commodities(instance: Instance, x: np.ndarray,
         return FlowSolution(G=G, W=W, drops=np.zeros((inst.m, 0)), x=x,
                             energy_per_commodity=np.zeros(0),
                             residuals=np.zeros(0))
+    if np.any(x < 0):
+        raise ScenarioError("capacities must be nonnegative")
+    w = x / inst.c
     system = ctx.system(inst, grounding)
-    solve = _factor(system.factor_order(assemble_laplacian(inst, x, grounding=grounding)))
+    solve = system.factor(w)
     G[system.keep] = solve(system.rhs)
 
     # Up to two rounds of iterative refinement guard against ill-conditioned
@@ -415,7 +445,6 @@ def solve_commodities(instance: Instance, x: np.ndarray,
     # They refine against the residual R = L(x) G - U in incidence form,
     # which keeps floor-level conductances that the assembled diagonal sums
     # round away; its last value also serves the check below.
-    w = x / inst.c
     target = ctx.inner_target * solve_tol
     for rounds_left in (2, 1, 0):
         drops = ctx.AT @ G

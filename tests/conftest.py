@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -41,10 +43,11 @@ def random_graph_instance(rng: np.random.Generator, n_max: int = 8,
 
 @pytest.fixture
 def factorization(monkeypatch):
-    """``factorization("dense" | "splu")`` makes instances built afterwards
-    factor that way.  The format is fixed when an instance's grounded system
+    """``factorization("band" | "splu")`` makes incidence instances built
+    afterwards factor that way, by moving the half-bandwidth limit of the
+    selection rule.  The layout is fixed when an instance's grounded system
     is first built, so each path needs a fresh instance."""
     def use(kind: str) -> None:
-        monkeypatch.setattr(pn.electrical, "DENSE_SOLVER_MAX_N",
-                            {"dense": 10**9, "splu": 0}[kind])
+        monkeypatch.setattr(pn.electrical, "MAX_BANDWIDTH",
+                            {"band": math.inf, "splu": -1}[kind])
     return use

@@ -119,7 +119,9 @@ def test_cli_certify_from_run_dir(tmp_path, ring_path, capsys):
     capsys.readouterr()
     assert run_cli("certify", "--run-dir", out, "--gap-tol", "1e-3") == 0
     capsys.readouterr()
-    assert run_cli("certify", "--run-dir", out, "--solve-tol", "1e-30") == 1
+    # a negative tolerance fails every solve, also one whose residual
+    # rounds to exactly zero (refinement reaches that on the ring)
+    assert run_cli("certify", "--run-dir", out, "--solve-tol", "-1") == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["kind"] == "runtime"
 
@@ -210,6 +212,24 @@ def test_cli_run_first_solve_failure_writes_state(tmp_path, ring_path,
     x0 = pn.load_scenario(ring_path).sample_x0(seed=0)
     assert state == {"x": x0.tolist(), "status": "solver-failure", "steps": 0}
     assert not (out / "report.json").exists()
+
+
+def test_cli_run_divergence_writes_state(tmp_path, ring_path, monkeypatch, capsys):
+    # a right-hand side that grows x diverges within a few steps; the run
+    # still fails, but leaves the state at which the bound was crossed
+    monkeypatch.setattr(pn.dynamics, "rhs",
+                        lambda instance, x, solution, spec, **kw: np.asarray(x))
+    out = tmp_path / "run"
+    assert run_cli("run", "--scenario", ring_path, "--out", out, "--h", "0.5",
+                   "--max-steps", "10000", "--record-every", "2000") == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["kind"] == "runtime"
+    state = json.loads((out / "final_state.json").read_text())
+    assert state["status"] == "diverged" and 0 < state["steps"] < 10
+    assert err["error"].startswith(f"step {state['steps']}:")
+    x0 = pn.load_scenario(ring_path).sample_x0(seed=0)
+    assert np.allclose(state["x"], x0 * 1.5 ** state["steps"], rtol=1e-12, atol=0)
+    assert (out / "scenario.json").exists() and not (out / "report.json").exists()
 
 
 def test_cli_sweep_summary(tmp_path):

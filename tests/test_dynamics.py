@@ -195,12 +195,12 @@ def test_solver_choice_does_not_change_trajectory(factorization):
     spec = pn.DynamicsSpec(kind=K.TWO_NORM, h=0.05, max_steps=500,
                            stop_tol=1e-12)
     finals = {}
-    for kind in ("dense", "splu"):
+    for kind in ("band", "splu"):
         factorization(kind)
         ring = pn.ring_scenario()
         finals[kind] = pn.run(ring.instance, ring.sample_x0(seed=9), spec,
                               pn.DiagnosticsConfig(record_every=100)).final_x
-    assert np.abs(finals["dense"] - finals["splu"]).max() <= 1e-7
+    assert np.abs(finals["band"] - finals["splu"]).max() <= 1e-7
 
 
 def test_run_rejects_bad_x0(ring):
@@ -235,6 +235,9 @@ def test_divergence_caught_at_the_step_it_happens(ring, monkeypatch):
         pn.run(ring.instance, np.ones(3), spec,
                pn.DiagnosticsConfig(record_every=2000))
     assert 0 < int(err.value.args[0].split()[1].rstrip(":")) < 10
+    # the error carries the step and the state at which it was raised
+    assert err.value.step == int(err.value.args[0].split()[1].rstrip(":"))
+    assert np.array_equal(err.value.x, np.full(3, 1.5 ** err.value.step))
 
 
 def test_run_computes_edge_norms_once_per_step(ring, monkeypatch):
@@ -275,13 +278,13 @@ def blas_two_threads():
 
 def _record_blas_at_factor(monkeypatch, controls) -> list[list[int]]:
     seen = []
-    factor = pn.electrical._factor
+    factor = pn.electrical._GroundedSystem.factor
 
-    def recorded(Lr):
+    def recorded(system, w):
         seen.append(_blas_thread_counts(controls))
-        return factor(Lr)
+        return factor(system, w)
 
-    monkeypatch.setattr(pn.electrical, "_factor", recorded)
+    monkeypatch.setattr(pn.electrical._GroundedSystem, "factor", recorded)
     return seen
 
 

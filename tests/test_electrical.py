@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import physanet as pn
@@ -127,11 +128,11 @@ def test_grounded_solution_unique(factorization):
     # same grounding through both factorizations gives the same potentials
     x = np.array([0.5, 1.0, 1.5])
     P = {}
-    for kind in ("splu", "dense"):
+    for kind in ("splu", "band"):
         factorization(kind)
         inst = pn.ring_scenario().instance
         P[kind] = pn.solve_commodities(inst, x, grounding=pn.default_grounding(inst)).P
-    assert np.abs(P["splu"] - P["dense"]).max() <= 1e-8
+    assert np.abs(P["splu"] - P["band"]).max() <= 1e-8
 
 
 def test_energy_identity():
@@ -197,14 +198,14 @@ def test_solvers_cross_check_on_grid(factorization):
     demands = [pn.DemandSpec(grid.node_ids[0], grid.node_ids[-1], 1.0),
                pn.DemandSpec(grid.node_ids[5], grid.node_ids[70], 2.0)]
     sols = {}
-    for kind in ("dense", "splu"):
+    for kind in ("band", "splu"):
         factorization(kind)
         inst = pn.instance_of_grid(grid, demands)
         x = np.random.default_rng(0).uniform(0.2, 1.5, size=inst.m)
         sols[kind] = pn.solve_commodities(inst, x)
-    assert np.abs(sols["splu"].Q - sols["dense"].Q).max() <= 1e-7
+    assert np.abs(sols["splu"].Q - sols["band"].Q).max() <= 1e-7
     assert np.abs(sols["splu"].energy_per_commodity
-                  - sols["dense"].energy_per_commodity).max() <= 1e-7
+                  - sols["band"].energy_per_commodity).max() <= 1e-7
 
 
 def test_solver_failure_reports_residual(ring):
@@ -213,6 +214,17 @@ def test_solver_failure_reports_residual(ring):
     with pytest.raises(SolverError) as err:
         pn.solve_commodities(ring.instance, x, solve_tol=1e-30)
     assert err.value.residual is not None and err.value.residual > 0
+
+
+@pytest.mark.parametrize("kind", ["band", "splu"])
+def test_singular_factorization_raises_solver_error(factorization, kind):
+    # zero capacity on both edges at c cuts it off from the grounded node:
+    # the grounded Laplacian is singular, and either factorization says so
+    # with a SolverError
+    factorization(kind)
+    inst = pn.ring_scenario().instance
+    with pytest.raises(SolverError, match="positive definite|factorization failed"):
+        pn.solve_commodities(inst, np.array([1.0, 0.0, 0.0]))
 
 
 def test_isolated_node_grounded():
@@ -282,11 +294,22 @@ def _path_graph(n):
                              [pn.DemandSpec(nodes[0], nodes[-1], 1.0)])
 
 
-def test_factor_entry_points(monkeypatch, ring):
-    # incidence instances above DENSE_SOLVER_MAX_N nodes factor through
-    # scipy.sparse.linalg.splu, all others through scipy.linalg.cho_factor;
-    # both are looked up on their modules per call
-    calls = {"splu": 0, "cho_factor": 0}
+def _grid_with_hub():
+    """The Tokyo grid plus a hub joined to every 10th node: its reverse
+    Cuthill-McKee half-bandwidth exceeds the limit, so it takes sparse LU."""
+    grid = pn.load_scenario(TOKYO).instance
+    nodes = list(grid.node_ids)
+    edges = [(e.tail, e.head, float(c)) for e, c in zip(grid.edge_meta, grid.c)]
+    edges += [("hub", nodes[i], 1.0) for i in range(0, len(nodes), 10)]
+    return pn.graph_instance(nodes + ["hub"], edges,
+                             [pn.DemandSpec(nodes[0], nodes[-1], 1.0),
+                              pn.DemandSpec(nodes[5], nodes[70], 2.0)])
+
+
+def _count_factor_calls(monkeypatch):
+    """Calls of the two factorization entry points, looked up on their
+    modules at each call."""
+    calls = {"cholesky_banded": 0, "splu": 0}
 
     def count(module, name):
         original = getattr(module, name)
@@ -297,33 +320,58 @@ def test_factor_entry_points(monkeypatch, ring):
 
         monkeypatch.setattr(module, name, counted)
 
+    count(scipy.linalg, "cholesky_banded")
     count(scipy.sparse.linalg, "splu")
-    count(scipy.linalg, "cho_factor")
+    return calls
+
+
+def test_factor_entry_points(monkeypatch, ring):
+    # grids, rings, paths of any length and general matrices all factor
+    # through scipy.linalg.cholesky_banded, once per solve
+    calls = _count_factor_calls(monkeypatch)
     grid = pn.load_scenario(TOKYO).instance
-    # a sparse grounded system is ordered by one splu call when it is built
     pn.solve_commodities(grid, np.ones(grid.m))
-    assert calls == {"splu": 2, "cho_factor": 0}
+    assert calls == {"cholesky_banded": 1, "splu": 0}
     pn.solve_commodities(grid, np.ones(grid.m))
-    assert calls == {"splu": 3, "cho_factor": 0}
+    assert calls == {"cholesky_banded": 2, "splu": 0}
     pn.solve_commodities(ring.instance, np.ones(3))
-    assert calls == {"splu": 3, "cho_factor": 1}
-    limit = pn.electrical.DENSE_SOLVER_MAX_N
-    for n, fmt, expected in ((limit, np.ndarray, {"splu": 3, "cho_factor": 2}),
-                             (limit + 1, sp.csc_matrix, {"splu": 5, "cho_factor": 2})):
+    assert calls == {"cholesky_banded": 3, "splu": 0}
+    for n in (150, 151, 2_000):
         path = _path_graph(n)
         pn.solve_commodities(path, np.ones(path.m))
-        assert calls == expected
-        assert type(pn.assemble_laplacian(path, np.ones(path.m))) is fmt
-    # the ungrounded matrix above is a system of its own, ordered once
-    assert calls == {"splu": 6, "cho_factor": 2}
+        assert type(pn.assemble_laplacian(path, np.ones(path.m))) is np.ndarray
+    assert calls == {"cholesky_banded": 6, "splu": 0}
     raw = pn.Instance(A=ring.instance.A.toarray(), c=np.ones(3), B=ring.instance.B)
     pn.solve_commodities(raw, np.ones(3))
-    assert calls == {"splu": 6, "cho_factor": 3}
+    assert calls == {"cholesky_banded": 7, "splu": 0}
 
 
-def test_grid_is_ordered_once_and_factored_on_the_diagonal(monkeypatch):
-    # a symmetric minimum-degree order, computed once per grounded system,
-    # and diagonal pivots: no fill beyond that order's, no row exchanges
+def test_grid_is_ordered_once_by_reverse_cuthill_mckee(monkeypatch):
+    # one order per grounded system, a half-bandwidth of at most 34, and
+    # one band factor per solve
+    calls = _count_factor_calls(monkeypatch)
+    ordered = []
+    original = scipy.sparse.csgraph.reverse_cuthill_mckee
+
+    def recorded(*args, **kwargs):
+        ordered.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", recorded)
+    grid = pn.load_scenario(TOKYO).instance
+    rng = np.random.default_rng(3)
+    for solves in (1, 2, 3):
+        pn.solve_commodities(grid, 10.0 ** rng.uniform(-9, 1, size=grid.m))
+        assert calls == {"cholesky_banded": solves, "splu": 0}
+    assert len(ordered) == 1
+    (system,) = pn.electrical._context(grid)._systems.values()
+    assert not system.splu and system.width - 1 <= 34
+
+
+def test_grid_is_ordered_once_and_factored_on_the_diagonal(monkeypatch, factorization):
+    # a grid with a hub is too wide for the band: a symmetric minimum-degree
+    # order, computed once per grounded system, and diagonal pivots: no fill
+    # beyond that order's, no row exchanges; the band path agrees
     factors = []
     original = scipy.sparse.linalg.splu
 
@@ -333,14 +381,23 @@ def test_grid_is_ordered_once_and_factored_on_the_diagonal(monkeypatch):
         return lu
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recorded)
-    grid = pn.load_scenario(TOKYO).instance
+    hub = _grid_with_hub()
     rng = np.random.default_rng(3)
-    for _ in range(2):
-        pn.solve_commodities(grid, 10.0 ** rng.uniform(-9, 1, size=grid.m))
+    states = [10.0 ** rng.uniform(-9, 1, size=hub.m) for _ in range(2)]
+    sols = [pn.solve_commodities(hub, x) for x in states]
     assert [spec for spec, _ in factors] == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
+    order_fill = factors[0][1].L.nnz + factors[0][1].U.nnz
     for _, lu in factors[1:]:
-        assert lu.L.nnz + lu.U.nnz <= 10_832
+        assert lu.L.nnz + lu.U.nnz <= order_fill
         assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))
+    factorization("band")
+    banded = _grid_with_hub()
+    for x, sol in zip(states, sols):
+        other = pn.solve_commodities(banded, x)
+        assert np.abs(other.Q - sol.Q).max() <= 1e-9 * np.abs(sol.Q).max()
+        assert np.abs(other.energy_per_commodity - sol.energy_per_commodity).max() \
+            <= 1e-9 * sol.energy_per_commodity.max()
+    assert len(factors) == 3
 
 
 def test_solved_instance_is_freed():
@@ -366,12 +423,12 @@ def test_shared_terminals_solve_in_basis_and_match_explicit_residual():
                        rtol=1e-12, atol=0)
 
 
-def test_dense_runs_the_grid_window_like_splu(factorization):
+def test_band_runs_the_grid_window_like_splu(factorization):
     # both factorizations pass the full-system residual check on every step
     spec = pn.DynamicsSpec(kind=pn.DynamicsKind.TWO_NORM, h=0.5, max_steps=30,
                            stop_tol=1e-6)
     finals = {}
-    for kind in ("splu", "dense"):
+    for kind in ("splu", "band"):
         factorization(kind)
         scen = pn.load_scenario(TOKYO)
         traj = pn.run(scen.instance, scen.sample_x0(seed=0), spec,
@@ -379,7 +436,7 @@ def test_dense_runs_the_grid_window_like_splu(factorization):
         assert traj.status == pn.TerminalStatus.MAX_STEPS, traj.message
         assert traj.steps == 30
         finals[kind] = traj.final.lyapunov
-    assert abs(finals["dense"] - finals["splu"]) <= 1e-10 * finals["splu"]
+    assert abs(finals["band"] - finals["splu"]) <= 1e-10 * finals["splu"]
 
 
 def _pseudo_inverse_oracle(inst, x):
@@ -420,9 +477,31 @@ def _solve_or_ill_conditioned(inst, x, spread, variant=0):
         return None
 
 
+def _exact_residuals(inst, sol, x):
+    """Relative residuals ``||A (w * A^T P) - B|| / ||B||`` of ``P = G W``,
+    from the solve's own ``G`` and ``W``, in 50-digit arithmetic.
+
+    With potentials ~1e8 the float64 evaluation of the same expression
+    misses the exact value by up to ~2e-8.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        A = mpmath.matrix((inst.A.toarray() if inst.is_incidence else inst.A).tolist())
+        w = mpmath.diag([mpmath.mpf(float(v)) for v in x / inst.c])
+        P = mpmath.matrix(sol.G.tolist()) * mpmath.matrix(sol.W.tolist())
+        R = A * w * A.T * P - mpmath.matrix(inst.B.tolist())
+        return np.array([float(mpmath.norm(R[:, i])) / np.linalg.norm(inst.B[:, i])
+                         for i in range(inst.k)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        shape=st.sampled_from(["shared-terminals", "general-matrix", "rank-k"]))
+# seeds whose float64 reference residual missed the exact one by 1.2e-9..1.8e-8
+@example(seed=134217727, shape="shared-terminals")
+@example(seed=2733801963, shape="shared-terminals")
+@example(seed=1501564775, shape="shared-terminals")
+@example(seed=2738104581, shape="shared-terminals")
 def test_basis_solve_matches_pseudo_inverse_oracle(seed, shape):
     rng = np.random.default_rng(seed)
     if shape == "rank-k":
@@ -450,12 +529,8 @@ def test_basis_solve_matches_pseudo_inverse_oracle(seed, shape):
 
     w = x / inst.c
     drops = inst.A.T @ sol.P
-    explicit = (np.linalg.norm(inst.A @ (w[:, None] * drops) - inst.B, axis=0)
-                / np.linalg.norm(inst.B, axis=0))
     assert sol.residuals.max() <= pn.electrical.DEFAULT_SOLVE_TOL
-    # forming P = G W rounds; at ~1e8 potentials that alone moves the
-    # explicit residual by a few 1e-10
-    assert np.abs(sol.residuals - explicit).max() <= 1e-9
+    assert np.abs(sol.residuals - _exact_residuals(inst, sol, x)).max() <= 1e-9
     close(np.einsum("nk,nk->k", inst.B, sol.P),
           np.einsum("ek,ek->k", drops, w[:, None] * drops))
 
@@ -468,10 +543,11 @@ def test_basis_solve_matches_pseudo_inverse_oracle(seed, shape):
 # SolverErrors on these states when refinement used the residual of the
 # assembled grounded matrix, whose diagonal sums round away floor-level
 # conductances.
-ASSEMBLED_REFINEMENT_FAILURES = {"dense": 10, "splu": 12}
+# The band path inherits the bound of the dense Cholesky it replaces.
+ASSEMBLED_REFINEMENT_FAILURES = {"band": 10, "splu": 12}
 
 
-@pytest.mark.parametrize("kind", ["dense", "splu"])
+@pytest.mark.parametrize("kind", ["band", "splu"])
 def test_refinement_on_extreme_states(factorization, kind):
     # capacities log-uniform over ten decades; refinement works on the
     # incidence-form residual A (w * A^T G) - U
