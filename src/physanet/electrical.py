@@ -166,7 +166,7 @@ class _GroundedSystem:
             self.A_keep = instance.A[keep]
             self.width = size  # b = size - 1
             rows, cols = np.tril_indices(size)
-            self.slot, self.src = _band_slot(rows, cols, self.width), rows * size + cols
+            self.slot, self.src = _band_slot(rows, cols, size), rows * size + cols
             self.keep, self.rhs = keep, np.ascontiguousarray(U[keep])
             return
         self.A_keep = None
@@ -179,42 +179,34 @@ class _GroundedSystem:
         edge = np.tile(np.arange(m), 4)
         sign = np.repeat([-1.0, -1.0, 1.0, 1.0], m)
         inside = (rows >= 0) & (cols >= 0)
-        self.rows, self.cols = rows[inside], cols[inside]
-        self.edge, self.sign = edge[inside], sign[inside]
-        pattern = sp.csr_matrix((np.ones(self.rows.size), (self.rows, self.cols)),
-                                shape=(size, size))
+        rows, cols, edge, sign = rows[inside], cols[inside], edge[inside], sign[inside]
+        pattern = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(size, size))
         order = scipy.sparse.csgraph.reverse_cuthill_mckee(pattern, symmetric_mode=True)
         rank = np.empty(size, dtype=np.intp)
         rank[order] = np.arange(size)
-        r, c = rank[self.rows], rank[self.cols]
+        r, c = rank[rows], rank[cols]
         bandwidth = int(np.abs(r - c).max(initial=0))
         self.splu = bandwidth > MAX_BANDWIDTH
         if self.splu:
             # Unit conductances plus the identity give a positive definite
             # matrix on the pattern whatever the plan; perm_c maps each
             # grounded node to its place in the minimum-degree order.
-            unit = (sp.csc_matrix((self.sign, (self.rows, self.cols)), shape=(size, size))
+            unit = (sp.csc_matrix((sign, (rows, cols)), shape=(size, size))
                     + sp.identity(size, format="csc"))
             perm_c = spla.splu(unit, permc_spec="MMD_AT_PLUS_A",
                                options={"SymmetricMode": True}).perm_c.astype(np.intp)
             self.slot, self.indices, self.indptr = _csc_pattern(
-                perm_c[self.rows], perm_c[self.cols], size)
+                perm_c[rows], perm_c[cols], size)
+            self.slots = self.indices.size
+            self.edge, self.sign = edge, sign
             order = np.argsort(perm_c)
         else:
             lower = r >= c
             self.width = bandwidth + 1
+            self.slots = self.width * size
             self.slot = _band_slot(r[lower], c[lower], self.width)
-            self.band_edge, self.band_sign = self.edge[lower], self.sign[lower]
+            self.edge, self.sign = edge[lower], sign[lower]
         self.keep, self.rhs = keep[order], np.ascontiguousarray(U[keep[order]])
-
-    def matrix(self, w: np.ndarray):
-        """The grounded Laplacian in ascending node order: CSC for a
-        sparse-LU system, a dense array otherwise."""
-        if self.A_keep is not None:
-            return (self.A_keep * w) @ self.A_keep.T
-        L = sp.csc_matrix((self.sign * w[self.edge], (self.rows, self.cols)),
-                          shape=(self.size, self.size))
-        return L if self.splu else L.toarray()
 
     def factor(self, w: np.ndarray):
         """Factor the system at conductances ``w``; returns the solve for
@@ -224,9 +216,13 @@ class _GroundedSystem:
         and sparse LU takes the diagonal pivots in the fixed order, which
         for such a matrix is as stable as Cholesky.
         """
-        if self.splu:
+        if self.A_keep is None:
             data = np.bincount(self.slot, weights=self.sign * w[self.edge],
-                               minlength=self.indices.size)
+                               minlength=self.slots)
+        else:
+            data = np.zeros(self.width * self.size)
+            data[self.slot] = ((self.A_keep * w) @ self.A_keep.T).ravel()[self.src]
+        if self.splu:
             Lr = sp.csc_matrix((data, self.indices, self.indptr),
                                shape=(self.size, self.size))
             try:
@@ -234,14 +230,8 @@ class _GroundedSystem:
                                  options={"SymmetricMode": True}).solve
             except RuntimeError as exc:
                 raise SolverError(f"sparse factorization failed: {exc}") from exc
-        if self.A_keep is not None:
-            flat = np.zeros(self.width * self.size)
-            flat[self.slot] = self.matrix(w).ravel()[self.src]
-        else:
-            flat = np.bincount(self.slot, weights=self.band_sign * w[self.band_edge],
-                               minlength=self.width * self.size)
         try:
-            cb = scipy.linalg.cholesky_banded(flat.reshape(self.size, self.width).T,
+            cb = scipy.linalg.cholesky_banded(data.reshape(self.size, self.width).T,
                                               lower=True, overwrite_ab=True,
                                               check_finite=False)
         except scipy.linalg.LinAlgError as exc:
@@ -308,16 +298,19 @@ def assemble_laplacian(instance: Instance, x: np.ndarray, *,
                        grounding: GroundingPlan | None = None):
     """Weighted Laplacian ``A X C^-1 A^T`` (symmetric PSD, n x n).
 
-    With a ``grounding`` plan, the principal submatrix on the nodes it does
-    not pin.  A CSC matrix where the system is factored by sparse LU
-    (graphs whose band is wider than ``MAX_BANDWIDTH``), a dense array
-    otherwise; the band layout the solver reads stays internal.
+    CSC for incidence instances, a dense array for general matrices.  With
+    a ``grounding`` plan, the principal submatrix on the nodes it does not
+    pin.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ScenarioError("capacities must be nonnegative")
-    plan = grounding if grounding is not None else GroundingPlan(nodes=())
-    return _context(instance).system(instance, plan).matrix(x / instance.c)
+    A, w = instance.A, x / instance.c
+    L = (A @ sp.diags(w) @ A.T).tocsc() if instance.is_incidence else (A * w) @ A.T
+    if grounding is not None:
+        keep = np.setdiff1d(np.arange(instance.n), grounding.nodes)
+        L = L[keep][:, keep]
+    return L
 
 
 def default_grounding(instance: Instance, variant: int = 0) -> GroundingPlan:

@@ -15,12 +15,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InfeasibleDemandError, ScenarioError
 
@@ -52,7 +54,7 @@ class Instance:
 
     def __post_init__(self):
         incidence = self.edge_meta is not None
-        A = (sp.csr_matrix(self.A, dtype=float) if incidence
+        A = (sp.csr_matrix(self.A, dtype=float, copy=True) if incidence
              else np.asarray(self.A, dtype=float))
         c = np.asarray(self.c, dtype=float)
         B = np.asarray(self.B, dtype=float)
@@ -70,9 +72,8 @@ class Instance:
         if incidence:
             if len(self.edge_meta) != m:
                 raise ScenarioError("edge_meta length must match number of edges")
-            endpoints = _edge_endpoints(self.node_ids, self.edge_meta)
-            A = _check_incidence(A, _incidence_csr(len(self.node_ids), *endpoints))
-            object.__setattr__(self, "_endpoints", endpoints)
+            object.__setattr__(self, "_endpoints",
+                               _read_endpoints(A, self.node_ids, self.edge_meta))
         elif np.any(~np.isfinite(A)):
             raise ScenarioError("A contains non-finite entries")
         if np.any(~np.isfinite(B)):
@@ -161,82 +162,85 @@ class DemandSpec:
         if not (self.amount > 0 and math.isfinite(self.amount)):
             raise ScenarioError("demand amount must be positive and finite")
 
-    def column(self, node_ids: Sequence[str]) -> np.ndarray:
-        b = np.zeros(len(node_ids))
-        index = {v: i for i, v in enumerate(node_ids)}
-        for node, sign in ((self.source, 1.0), (self.sink, -1.0)):
-            if node not in index:
-                raise ScenarioError(f"demand references unknown node {node!r}")
-            b[index[node]] = sign * self.amount
-        return b
-
 
 def _components(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    adj = coo_matrix((np.ones(len(tails)), (tails, heads)), shape=(n, n))
-    _, labels = connected_components(adj, directed=False)
-    return labels
+    adj = sp.coo_matrix((np.ones(len(tails)), (tails, heads)), shape=(n, n))
+    return connected_components(adj, directed=False)[1]
 
 
-def _edge_endpoints(node_ids, edges) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only tail/head node indices of ``(tail, head, ...)`` edges."""
-    if node_ids is None:
-        raise ScenarioError("incidence instances need node ids")
-    index = {v: i for i, v in enumerate(node_ids)}
-    if len(index) != len(node_ids):
+def _node_index(nodes: Sequence[str]) -> dict[str, int]:
+    index = {v: i for i, v in enumerate(nodes)}
+    if len(index) != len(nodes):
         raise ScenarioError("duplicate node ids")
-    for u, v, *_ in edges:
-        if u == v:
-            raise ScenarioError(f"self-loop on node {u!r} not allowed")
-        if u not in index or v not in index:
-            raise ScenarioError(f"edge ({u!r}, {v!r}) references unknown nodes")
-    tails = np.array([index[e[0]] for e in edges], dtype=np.intp)
-    heads = np.array([index[e[1]] for e in edges], dtype=np.intp)
+    return index
+
+
+def _lookup(index: Mapping[str, int], names: list[str], what: str) -> np.ndarray:
+    try:
+        return np.array([index[v] for v in names], dtype=np.intp)
+    except KeyError as exc:
+        raise ScenarioError(f"{what} references unknown node {exc.args[0]!r}") from None
+
+
+def _incidence_csr(index: Mapping[str, int], edges) -> sp.csr_matrix:
+    """Incidence CSR of ``(tail, head, ...)`` edges over the node ``index``."""
+    tails = _lookup(index, [e[0] for e in edges], "edge")
+    heads = _lookup(index, [e[1] for e in edges], "edge")
+    loops = np.flatnonzero(tails == heads)
+    if loops.size:
+        raise ScenarioError(f"self-loop on node {edges[loops[0]][0]!r} not allowed")
+    m = tails.size
+    rows = np.concatenate([tails, heads])
+    cols = np.concatenate([np.arange(m), np.arange(m)])
+    data = np.concatenate([np.ones(m), -np.ones(m)])
+    return sp.csr_matrix((data, (rows, cols)), shape=(len(index), m))
+
+
+def _read_endpoints(A: sp.csr_matrix, node_ids, edge_meta) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tail (+1) and head (-1) row of each column of ``A``.
+
+    Raises ScenarioError unless every column holds exactly one +1 and one
+    -1, at the nodes that ``edge_meta`` names.
+    """
+    n, m = A.shape
+    if node_ids is None or len(node_ids) != n or len(set(node_ids)) != n:
+        raise ScenarioError(f"incidence instances need {n} distinct node ids, one per row")
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    coo = A.tocoo()
+    plus, minus = coo.data == 1.0, coo.data == -1.0
+    tails, heads = np.full(m, -1, dtype=np.intp), np.full(m, -1, dtype=np.intp)
+    tails[coo.col[plus]], heads[coo.col[minus]] = coo.row[plus], coo.row[minus]
+    # 2m entries with a +1 and a -1 in every column leave room for no other.
+    if (coo.nnz != 2 * m or np.any(tails < 0) or np.any(heads < 0)
+            or [node_ids[t] for t in tails.tolist()] != [e.tail for e in edge_meta]
+            or [node_ids[h] for h in heads.tolist()] != [e.head for e in edge_meta]):
+        raise ScenarioError("A is not the incidence matrix of edge_meta over node_ids")
     tails.setflags(write=False)
     heads.setflags(write=False)
     return tails, heads
 
 
-def _incidence_csr(n: int, tails: np.ndarray, heads: np.ndarray) -> sp.csr_matrix:
-    m = tails.size
-    rows = np.concatenate([tails, heads])
-    cols = np.concatenate([np.arange(m), np.arange(m)])
-    data = np.concatenate([np.ones(m), -np.ones(m)])
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, m))
-
-
-def _check_incidence(A: sp.csr_matrix, expected: sp.csr_matrix) -> sp.csr_matrix:
-    """``expected`` if ``A`` equals it entry for entry, else ScenarioError."""
-    if A.shape != expected.shape or (A != expected).nnz:
-        raise ScenarioError(f"A ({A.shape[0]} x {A.shape[1]}) is not the incidence "
-                            "matrix of edge_meta over node_ids")
-    return expected
-
-
 def _check_feasible(instance: Instance) -> None:
+    """Raise InfeasibleDemandError for the first demand not in Im(A)."""
     B = instance.B
     if B.shape[1] == 0:
         return
     if instance.is_incidence:
         labels = instance.components()
-        for i in range(B.shape[1]):
-            b = B[:, i]
-            for comp in range(labels.max() + 1):
-                s = b[labels == comp].sum()
-                if abs(s) > 1e-9 * max(1.0, np.abs(b).sum()):
-                    raise InfeasibleDemandError(
-                        f"demand {i} is not balanced within connected components "
-                        "(endpoints in different components?)")
+        # One row per component: the sum of every demand over its nodes.
+        sums = sp.csr_matrix((np.ones(labels.size), (labels, np.arange(labels.size)))) @ B
+        excess = np.abs(sums).max(axis=0) - 1e-9 * np.maximum(1.0, np.abs(B).sum(axis=0))
+        why = "is not balanced within connected components (endpoints in different components?)"
     else:
         # Rank test via least squares: b in Im(A) iff the residual vanishes.
         sol, _, _, _ = np.linalg.lstsq(instance.A, B, rcond=None)
-        resid = instance.A @ sol - B
-        for i in range(B.shape[1]):
-            scale = max(1.0, float(np.linalg.norm(B[:, i])))
-            if float(np.linalg.norm(resid[:, i])) > FEASIBILITY_RTOL * scale:
-                raise InfeasibleDemandError(f"demand {i} is not in the image of A")
+        excess = (np.linalg.norm(instance.A @ sol - B, axis=0)
+                  - FEASIBILITY_RTOL * np.maximum(1.0, np.linalg.norm(B, axis=0)))
+        why = "is not in the image of A"
+    bad = np.flatnonzero(excess > 0)
+    if bad.size:
+        raise InfeasibleDemandError(f"demand {bad[0]} {why}")
 
 
 def incidence_of_graph(nodes: Sequence[str],
@@ -246,22 +250,24 @@ def incidence_of_graph(nodes: Sequence[str],
     The orientation is taken from the listed (tail, head) order; self-loops
     are rejected since their column would be identically zero.
     """
-    return _incidence_csr(len(nodes), *_edge_endpoints(nodes, edges))
+    return _incidence_csr(_node_index(nodes), edges)
 
 
 def graph_instance(nodes: Sequence[str],
                    edges: Sequence[tuple[str, str, float]],
                    demands: Sequence[DemandSpec]) -> Instance:
     """Build an incidence instance from labelled, costed edges."""
-    A = incidence_of_graph(nodes, [(u, v) for u, v, _ in edges])
+    index = _node_index(nodes)
+    A = _incidence_csr(index, edges)
     c = np.array([cost for _, _, cost in edges], dtype=float)
     meta = tuple(EdgeMeta(u, v, f"{u}-{v}") for u, v, _ in edges)
-    node_ids = tuple(nodes)
-    if demands:
-        B = np.column_stack([d.column(node_ids) for d in demands])
-    else:
-        B = np.zeros((len(nodes), 0))
-    return Instance(A=A, c=c, B=B, edge_meta=meta, node_ids=node_ids)
+    # Column i is +amount at the source and -amount at the sink.
+    B = np.zeros((len(index), len(demands)))
+    cols = np.arange(len(demands))
+    amount = np.array([d.amount for d in demands], dtype=float)
+    B[_lookup(index, [d.source for d in demands], "demand"), cols] = amount
+    B[_lookup(index, [d.sink for d in demands], "demand"), cols] = -amount
+    return Instance(A=A, c=c, B=B, edge_meta=meta, node_ids=tuple(nodes))
 
 
 def max_flow_bound(instance: Instance) -> list[float] | None:
@@ -328,22 +334,25 @@ class InitialCapacity:
 def _parse_initial_capacity(raw: Any) -> InitialCapacity:
     if raw is None:
         return InitialCapacity(kind="constant", value=1.0)
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        if raw <= 0:
-            raise ScenarioError("initial capacity must be positive")
-        return InitialCapacity(kind="constant", value=float(raw))
-    if isinstance(raw, list):
-        vals = [float(v) for v in raw]
-        if any(v <= 0 for v in vals):
-            raise ScenarioError("initial capacities must be positive")
-        return InitialCapacity(kind="per_edge", values=tuple(vals))
-    if isinstance(raw, Mapping) and "random_uniform" in raw:
-        lo, hi = (float(v) for v in raw["random_uniform"])
-        if not (0 < lo <= hi):
-            raise ScenarioError("random_uniform bounds must satisfy 0 < lo <= hi")
-        seed = raw.get("seed")
-        return InitialCapacity(kind="random_uniform", low=lo, high=hi,
-                               seed=None if seed is None else int(seed))
+    try:
+        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+            if raw <= 0:
+                raise ScenarioError("initial capacity must be positive")
+            return InitialCapacity(kind="constant", value=float(raw))
+        if isinstance(raw, list):
+            vals = [float(v) for v in raw]
+            if any(v <= 0 for v in vals):
+                raise ScenarioError("initial capacities must be positive")
+            return InitialCapacity(kind="per_edge", values=tuple(vals))
+        if isinstance(raw, Mapping) and "random_uniform" in raw:
+            lo, hi = (float(v) for v in raw["random_uniform"])
+            if not (0 < lo <= hi):
+                raise ScenarioError("random_uniform bounds must satisfy 0 < lo <= hi")
+            seed = raw.get("seed")
+            return InitialCapacity(kind="random_uniform", low=lo, high=hi,
+                                   seed=None if seed is None else int(seed))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"initial_capacity is malformed: {exc}") from exc
     raise ScenarioError("unrecognized initial_capacity specification")
 
 
@@ -386,14 +395,13 @@ def load_instance(document: Mapping[str, Any] | str | Path) -> Instance:
 def _coerce_document(document: Mapping[str, Any] | str | Path) -> Mapping[str, Any]:
     if isinstance(document, Mapping):
         return document
-    if isinstance(document, Path) or (isinstance(document, str) and "\n" not in document
-                                      and (document.endswith(".json") or Path(document).exists())):
-        path = Path(document)
-        if not path.exists():
-            raise ScenarioError(f"scenario file not found: {path}")
-        text = path.read_text()
+    if isinstance(document, str) and document.lstrip().startswith("{"):
+        text = document
     else:
-        text = str(document)
+        try:
+            text = Path(document).read_text()
+        except OSError as exc:
+            raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -409,24 +417,26 @@ def _load_graph_scenario(doc: Mapping[str, Any]) -> Scenario:
     _require(all(isinstance(v, str) for v in nodes), "node ids must be strings")
     raw_edges = doc.get("edges")
     _require(isinstance(raw_edges, list) and raw_edges, "'edges' must be a non-empty list")
-    edges = []
-    for j, e in enumerate(raw_edges):
-        _require(isinstance(e, Mapping) and {"u", "v", "cost"} <= set(e),
-                 f"edge {j} must be an object with u, v, cost")
-        cost = float(e["cost"])
-        _require(cost > 0 and math.isfinite(cost), f"edge {j} has nonpositive cost")
-        edges.append((e["u"], e["v"], cost))
     raw_demands = doc.get("demands", [])
     _require(isinstance(raw_demands, list), "'demands' must be a list")
-    demands = []
-    for i, d in enumerate(raw_demands):
-        _require(isinstance(d, Mapping) and {"source", "sink", "amount"} <= set(d),
-                 f"demand {i} must be an object with source, sink, amount")
-        demands.append(DemandSpec(d["source"], d["sink"], float(d["amount"])))
+    edges, demands, layout = [], [], None
+    try:
+        for j, e in enumerate(raw_edges):
+            _require(isinstance(e, Mapping) and {"u", "v", "cost"} <= set(e),
+                     f"edge {j} must be an object with u, v, cost")
+            cost = float(e["cost"])
+            _require(cost > 0 and math.isfinite(cost), f"edge {j} has nonpositive cost")
+            edges.append((e["u"], e["v"], cost))
+        for i, d in enumerate(raw_demands):
+            _require(isinstance(d, Mapping) and {"source", "sink", "amount"} <= set(d),
+                     f"demand {i} must be an object with source, sink, amount")
+            demands.append(DemandSpec(d["source"], d["sink"], float(d["amount"])))
+        if "layout" in doc:
+            _require(isinstance(doc["layout"], Mapping), "'layout' must be an object")
+            layout = {v: (float(x), float(y)) for v, (x, y) in doc["layout"].items()}
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"graph scenario is malformed: {exc}") from exc
     instance = graph_instance(nodes, edges, demands)
-    layout = None
-    if "layout" in doc:
-        layout = {v: (float(xy[0]), float(xy[1])) for v, xy in doc["layout"].items()}
     terminals = None
     if "terminals" in doc:
         terms = doc["terminals"]
@@ -475,15 +485,14 @@ def scenario_document(scenario: Scenario) -> dict[str, Any]:
 
 
 def _demands_of_B(inst: Instance) -> list[dict[str, Any]]:
-    demands = []
-    for i in range(inst.k):
-        b = inst.B[:, i]
-        pos = np.nonzero(b > 0)[0]
-        neg = np.nonzero(b < 0)[0]
-        if len(pos) != 1 or len(neg) != 1 or not np.isclose(b[pos[0]], -b[neg[0]]):
-            raise ScenarioError(
-                f"demand {i} is not a source/sink pair and cannot be serialized")
-        demands.append({"source": inst.node_ids[pos[0]],
-                        "sink": inst.node_ids[neg[0]],
-                        "amount": float(b[pos[0]])})
-    return demands
+    B, cols = inst.B, np.arange(inst.k)
+    src, dst = np.argmax(B, axis=0), np.argmin(B, axis=0)
+    amount = B[src, cols]
+    bad = (((B > 0).sum(axis=0) != 1) | ((B < 0).sum(axis=0) != 1)
+           | ~np.isclose(amount, -B[dst, cols]))
+    if bad.any():
+        raise ScenarioError(f"demand {np.argmax(bad)} is not a source/sink pair "
+                            "and cannot be serialized")
+    names = inst.node_ids
+    return [{"source": names[u], "sink": names[v], "amount": a}
+            for u, v, a in zip(src.tolist(), dst.tolist(), amount.tolist())]

@@ -11,11 +11,12 @@ geography.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import PruningError, ScenarioError
 from .model import (DemandSpec, InitialCapacity, Instance, Scenario,
@@ -277,34 +278,28 @@ def synthetic_region_polygon() -> tuple[tuple[float, float], ...]:
 # Shortest paths, baselines, pruning
 
 
-def _adjacency(instance: Instance) -> dict[str, list[tuple[str, float, int]]]:
-    adj: dict[str, list[tuple[str, float, int]]] = {v: [] for v in instance.node_ids}
-    for idx, meta in enumerate(instance.edge_meta):
-        cost = float(instance.c[idx])
-        adj[meta.tail].append((meta.head, cost, idx))
-        adj[meta.head].append((meta.tail, cost, idx))
-    return adj
+def _weighted_adjacency(instance: Instance) -> sp.csr_matrix:
+    """Upper-triangular adjacency of the undirected graph, weighted by cost.
+
+    Of parallel edges only the cheapest is kept: a CSR matrix built from
+    duplicate pairs would sum their costs.
+    """
+    if not instance.is_incidence:
+        raise ScenarioError("shortest paths need a graph instance")
+    n = instance.n
+    tails, heads = instance.edge_endpoints()
+    pairs, pair = np.unique(np.minimum(tails, heads) * n + np.maximum(tails, heads),
+                            return_inverse=True)
+    cost = np.full(pairs.size, np.inf)
+    np.minimum.at(cost, pair, instance.c)
+    return sp.csr_matrix((cost, np.divmod(pairs, n)), shape=(n, n))
 
 
 def shortest_path_length(instance: Instance, source: str, sink: str) -> float:
     """Undirected Dijkstra distance by edge cost (inf when disconnected)."""
-    if not instance.is_incidence:
-        raise ScenarioError("shortest paths need a graph instance")
-    adj = _adjacency(instance)
-    dist = {source: 0.0}
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u == sink:
-            return d
-        if d > dist.get(u, math.inf):
-            continue
-        for v, w, _ in adj[u]:
-            nd = d + w
-            if nd < dist.get(v, math.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return math.inf
+    dist = dijkstra(_weighted_adjacency(instance), directed=False,
+                    indices=instance.node_index(source))
+    return float(dist[instance.node_index(sink)])
 
 
 @dataclass(frozen=True)
@@ -324,16 +319,18 @@ def shortest_path_union_baseline(instance: Instance) -> BaselineReport:
     to its amount; then per demand both cost and energy equal
     ``amount * path length``.  The combined cost+energy is the yardstick the
     shared design must beat."""
+    B, names = instance.B, instance.node_ids
+    src, dst = np.argmax(B, axis=0), np.argmin(B, axis=0)
+    sources, row = np.unique(src, return_inverse=True)
+    dist = dijkstra(_weighted_adjacency(instance), directed=False, indices=sources)
+    length = dist[row, dst]
+    if np.isinf(length).any():
+        i = int(np.argmax(np.isinf(length)))
+        raise ScenarioError(f"demand {names[src[i]]}->{names[dst[i]]} is disconnected")
+    # Summed in demand order: np.sum adds pairwise and can move the last bit.
     cost = 0.0
-    for i in range(instance.k):
-        b = instance.B[:, i]
-        src = instance.node_ids[int(np.argmax(b))]
-        dst = instance.node_ids[int(np.argmin(b))]
-        amount = float(b.max())
-        length = shortest_path_length(instance, src, dst)
-        if math.isinf(length):
-            raise ScenarioError(f"demand {src}->{dst} is disconnected")
-        cost += amount * length
+    for term in (B.max(axis=0) * length).tolist():
+        cost += term
     return BaselineReport(cost=cost, energy=cost)
 
 

@@ -41,6 +41,15 @@ def random_graph_instance(rng: np.random.Generator, n_max: int = 8,
     return pn.graph_instance(nodes, edges, demands)
 
 
+def graph_parts(inst: pn.Instance):
+    """``(nodes, edges, demands)`` that ``graph_instance`` rebuilds ``inst`` from."""
+    names = list(inst.node_ids)
+    edges = [(e.tail, e.head, float(c)) for e, c in zip(inst.edge_meta, inst.c)]
+    demands = [pn.DemandSpec(names[int(np.argmax(b))], names[int(np.argmin(b))],
+                             float(b.max())) for b in inst.B.T]
+    return names, edges, demands
+
+
 @pytest.fixture
 def factorization(monkeypatch):
     """``factorization("band" | "splu")`` makes incidence instances built

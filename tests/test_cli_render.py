@@ -95,6 +95,34 @@ def test_cli_run_missing_scenario_is_config_error(tmp_path, capsys):
     assert err["kind"] == "config"
 
 
+def _malformed(path: tuple, value) -> dict:
+    doc = {"nodes": ["a", "b"],
+           "edges": [{"u": "a", "v": "b", "cost": 1.0}],
+           "demands": [{"source": "a", "sink": "b", "amount": 1.0}],
+           "layout": {"a": [0.0, 0.0], "b": [1.0, 0.0]}}
+    *parents, key = path
+    target = doc
+    for part in parents:
+        target = target[part]
+    target[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _malformed(("edges", 0, "cost"), "abc"),
+    _malformed(("edges", 0, "cost"), None),
+    _malformed(("demands", 0, "amount"), "x"),
+    _malformed(("layout", "a"), [0.0]),
+    _malformed(("initial_capacity",), {"random_uniform": [1]}),
+], ids=["cost-text", "cost-null", "amount-text", "layout-not-pair", "random-uniform-one"])
+def test_cli_run_malformed_values_are_config_errors(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("run", "--scenario", path, "--out", tmp_path / "o") == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["kind"] == "config"
+
+
 def test_cli_certify_converged_ring(tmp_path, ring_path, capsys):
     code = run_cli("certify", "--scenario", ring_path, "--h", "0.02",
                    "--seed", "1", "--gap-tol", "1e-3")

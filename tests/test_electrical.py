@@ -22,56 +22,40 @@ from conftest import random_graph_instance
 
 def test_single_edge_laplacian(single_edge):
     L = pn.assemble_laplacian(single_edge, np.array([1.0]))
-    assert np.allclose(L, [[1.0, -1.0], [-1.0, 1.0]])
+    assert np.allclose(L.toarray(), [[1.0, -1.0], [-1.0, 1.0]])
 
 
 def test_triangle_laplacian_symmetric(ring):
     z = 0.7
-    L = pn.assemble_laplacian(ring.instance, np.full(3, z))
+    L = pn.assemble_laplacian(ring.instance, np.full(3, z)).toarray()
     assert np.allclose(np.diag(L), 2 * z)
     assert np.allclose(L - np.diag(np.diag(L)),
                        -z * (np.ones((3, 3)) - np.eye(3)))
     assert np.allclose(L, L.T)
 
 
-def test_sparse_and_dense_assembly_agree(factorization):
-    x = np.array([0.3, 1.1, 0.8])
-    Ld = pn.assemble_laplacian(pn.ring_scenario().instance, x)
-    factorization("splu")
-    Ls = pn.assemble_laplacian(pn.ring_scenario().instance, x)
-    assert isinstance(Ld, np.ndarray) and Ls.format == "csc"
-    assert np.allclose(Ld, Ls.toarray())
-
-
-def test_grounded_assembly_is_principal_submatrix(factorization):
-    # parallel edges share pattern slots; both groundings, both formats
+def test_grounded_assembly_is_principal_submatrix():
+    # parallel edges share entries; both groundings, graph (CSC) and
+    # general-matrix (dense) forms of the same instance
     rng = np.random.default_rng(11)
-
-    def graph():
-        return pn.graph_instance(["a", "b", "c", "d"],
-                                 [("a", "b", 1.0), ("a", "b", 2.0), ("b", "c", 0.5),
-                                  ("c", "d", 1.5), ("d", "a", 1.0)],
-                                 [pn.DemandSpec("a", "c", 1.0)])
-
-    inst = graph()
+    inst = pn.graph_instance(["a", "b", "c", "d"],
+                             [("a", "b", 1.0), ("a", "b", 2.0), ("b", "c", 0.5),
+                              ("c", "d", 1.5), ("d", "a", 1.0)],
+                             [pn.DemandSpec("a", "c", 1.0)])
     raw = pn.Instance(A=inst.A.toarray(), c=inst.c.copy(), B=inst.B.copy())
     x = rng.uniform(0.2, 2.0, size=inst.m)
     full = pn.assemble_laplacian(inst, x)
-    grounded = {}
-    for case in (inst, raw):
-        for variant in (0, 1):
-            plan = pn.default_grounding(case, variant)
-            keep = np.setdiff1d(np.arange(case.n), plan.nodes)
-            grounded[case, variant] = pn.assemble_laplacian(case, x, grounding=plan)
-            assert np.allclose(grounded[case, variant], full[np.ix_(keep, keep)],
-                               rtol=1e-15, atol=0)
-    factorization("splu")
-    sparse_inst = graph()
+    assert full.format == "csc"
+    full = full.toarray()
+    assert np.allclose(pn.assemble_laplacian(raw, x), full, rtol=1e-15, atol=0)
     for variant in (0, 1):
-        plan = pn.default_grounding(sparse_inst, variant)
-        sparse = pn.assemble_laplacian(sparse_inst, x, grounding=plan)
-        assert sparse.format == "csc"
-        assert np.array_equal(sparse.toarray(), grounded[inst, variant])
+        plan = pn.default_grounding(inst, variant)
+        keep = np.setdiff1d(np.arange(inst.n), plan.nodes)
+        sparse = pn.assemble_laplacian(inst, x, grounding=plan)
+        dense = pn.assemble_laplacian(raw, x, grounding=plan)
+        assert sparse.format == "csc" and type(dense) is np.ndarray
+        assert np.array_equal(sparse.toarray(), full[np.ix_(keep, keep)])
+        assert np.allclose(dense, full[np.ix_(keep, keep)], rtol=1e-15, atol=0)
 
 
 def test_single_edge_solve(single_edge):
@@ -339,7 +323,6 @@ def test_factor_entry_points(monkeypatch, ring):
     for n in (150, 151, 2_000):
         path = _path_graph(n)
         pn.solve_commodities(path, np.ones(path.m))
-        assert type(pn.assemble_laplacian(path, np.ones(path.m))) is np.ndarray
     assert calls == {"cholesky_banded": 6, "splu": 0}
     raw = pn.Instance(A=ring.instance.A.toarray(), c=np.ones(3), B=ring.instance.B)
     pn.solve_commodities(raw, np.ones(3))

@@ -10,6 +10,8 @@ import scipy.sparse as sp
 import physanet as pn
 from physanet.errors import InfeasibleDemandError, ScenarioError
 
+from conftest import graph_parts, random_graph_instance
+
 TRIANGLE_DOC = {
     "nodes": ["a", "b", "c"],
     "edges": [{"u": "a", "v": "b", "cost": 1.0},
@@ -159,6 +161,18 @@ def test_scenario_document_roundtrip(tmp_path):
     assert again.terminals == scen.terminals
 
 
+def test_scenario_document_names_the_first_demand_that_is_not_a_pair():
+    A, c, B, meta, nodes = _triangle_parts()
+    for split in ([1.0, -0.5, -0.5], [1.0, -2.0, 1.0]):
+        B3 = np.column_stack([B[:, 0], split, B[:, 2]])
+        inst = pn.Instance(A=A, c=c, B=B3, edge_meta=tuple(meta), node_ids=nodes)
+        scen = pn.Scenario(instance=inst, initial_capacity=pn.InitialCapacity("constant", 1.0))
+        with pytest.raises(ScenarioError, match=r"^demand 1 is not a source/sink pair"):
+            pn.scenario_document(scen)
+    doc = pn.scenario_document(pn.load_scenario(TRIANGLE_DOC))
+    assert doc["demands"] == TRIANGLE_DOC["demands"]
+
+
 def test_mixed_variant_rejected():
     with pytest.raises(ScenarioError):
         pn.load_scenario({**TRIANGLE_DOC, "A": [[1.0]]})
@@ -188,6 +202,72 @@ def test_graph_instance_stores_read_only_csr(ring):
         inst.A.data[0] = 5.0
     raw = pn.Instance(A=ring.instance.A.toarray(), c=ring.instance.c, B=ring.instance.B)
     assert type(raw.A) is np.ndarray
+
+
+def test_graph_instance_matches_column_by_column_reference():
+    rng = np.random.default_rng(17)
+    cases = [graph_parts(pn.load_instance(TOKYO))]
+    cases += [graph_parts(random_graph_instance(rng, k_max=4)) for _ in range(20)]
+    cases.append((["u", "v", "w"], [("u", "v", 1.0), ("w", "v", 2.0)], []))
+    for names, edges, demands in cases:
+        inst = pn.graph_instance(names, edges, demands)
+        n, m, k = len(names), len(edges), len(demands)
+        A, B = np.zeros((n, m)), np.zeros((n, k))
+        tails, heads = np.zeros(m, dtype=np.intp), np.zeros(m, dtype=np.intp)
+        for j, (u, v, _) in enumerate(edges):
+            tails[j], heads[j] = names.index(u), names.index(v)
+            A[tails[j], j], A[heads[j], j] = 1.0, -1.0
+        for i, d in enumerate(demands):
+            B[names.index(d.source), i] = d.amount
+            B[names.index(d.sink), i] = -d.amount
+        ref = sp.csr_matrix(A)
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(inst.A, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert inst.B.shape == B.shape and inst.B.tobytes() == B.tobytes()
+        got_tails, got_heads = inst.edge_endpoints()
+        assert np.array_equal(got_tails, tails) and np.array_equal(got_heads, heads)
+        assert got_tails.dtype == np.intp and not got_tails.flags.writeable
+
+
+@pytest.mark.parametrize("nodes, edges, demands", [
+    (["a", "b"], [("a", "b", 1.0)], [pn.DemandSpec("a", "z")]),
+    (["a", "b"], [("a", "b", 1.0)], [pn.DemandSpec("z", "b")]),
+    (["a", "b"], [("a", "z", 1.0)], []),
+    (["a", "b", "a"], [("a", "b", 1.0)], []),
+], ids=["demand-sink", "demand-source", "edge", "duplicate-node"])
+def test_graph_instance_rejects_unknown_or_duplicate_nodes(nodes, edges, demands):
+    with pytest.raises(ScenarioError):
+        pn.graph_instance(nodes, edges, demands)
+
+
+def test_first_unbalanced_demand_is_named_on_many_components():
+    # components {a, b}, {c, d}, {e, f}; demands 2 and 4 cross them
+    nodes = list("abcdef")
+    edges = [("a", "b", 1.0), ("c", "d", 1.0), ("e", "f", 1.0)]
+    demands = [pn.DemandSpec("a", "b"), pn.DemandSpec("d", "c", 2.0),
+               pn.DemandSpec("a", "e", 3.0), pn.DemandSpec("f", "e"),
+               pn.DemandSpec("b", "c")]
+    with pytest.raises(InfeasibleDemandError, match=r"^demand 2 is not balanced"):
+        pn.graph_instance(nodes, edges, demands)
+    with pytest.raises(InfeasibleDemandError, match=r"^demand 3 is not balanced"):
+        pn.graph_instance(nodes, edges, demands[:2] + demands[3:])
+    assert pn.graph_instance(nodes, edges, demands[:2] + demands[3:4]).k == 3
+
+
+def test_one_line_json_text_loads_like_the_file():
+    from_file = pn.load_scenario(TOKYO)
+    text = json.dumps(json.loads(TOKYO.read_text()))
+    assert "\n" not in text and len(text) > 4096
+    for document in (text, "  \n" + text):
+        scen = pn.load_scenario(document)
+        assert scen.instance.node_ids == from_file.instance.node_ids
+        assert scen.instance.edge_meta == from_file.instance.edge_meta
+        assert (scen.instance.A != from_file.instance.A).nnz == 0
+        assert np.array_equal(scen.instance.B, from_file.instance.B)
+        assert np.array_equal(scen.instance.c, from_file.instance.c)
+        assert (scen.layout, scen.terminals) == (from_file.layout, from_file.terminals)
+        assert scen.initial_capacity == from_file.initial_capacity
 
 
 def _triangle_parts():

@@ -10,6 +10,8 @@ import pytest
 import physanet as pn
 from physanet.errors import PruningError, ScenarioError
 
+from conftest import graph_parts, random_graph_instance
+
 
 def test_ring_all_pairs_unit_demands(ring):
     inst = ring.instance
@@ -204,6 +206,47 @@ def test_baseline_single_edge(single_edge):
 def test_baseline_ring(ring):
     rep = pn.shortest_path_union_baseline(ring.instance)
     assert rep.cost == pytest.approx(3.0)
+
+
+def _floyd_warshall(inst: pn.Instance) -> np.ndarray:
+    D = np.full((inst.n, inst.n), np.inf)
+    np.fill_diagonal(D, 0.0)
+    for (u, v), cost in zip(zip(*inst.edge_endpoints()), inst.c):
+        D[u, v] = D[v, u] = min(D[u, v], cost)
+    for w in range(inst.n):
+        D = np.minimum(D, D[:, [w]] + D[[w], :])
+    return D
+
+
+def test_shortest_paths_match_floyd_warshall_with_parallel_edges():
+    # parallel edges of different costs, listed in both orientations: only
+    # the cheapest counts, so a path length that sums them is caught
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        names, edges, demands = graph_parts(random_graph_instance(rng, n_max=9, k_max=5))
+        for _ in range(int(rng.integers(1, 6))):
+            u, v, cost = edges[int(rng.integers(len(edges)))]
+            pair = (u, v) if rng.random() < 0.5 else (v, u)
+            edges.append((*pair, cost * float(rng.uniform(0.3, 3.0))))
+        inst = pn.graph_instance(names, edges, demands)
+        D = _floyd_warshall(inst)
+        for i, u in enumerate(names):
+            for j, v in enumerate(names):
+                assert pn.shortest_path_length(inst, u, v) == pytest.approx(D[i, j],
+                                                                            rel=1e-12)
+        expected = sum(d.amount * D[names.index(d.source), names.index(d.sink)]
+                       for d in demands)
+        rep = pn.shortest_path_union_baseline(inst)
+        assert rep.cost == rep.energy == pytest.approx(expected, rel=1e-12)
+
+
+def test_shortest_path_on_disconnected_graph():
+    inst = pn.graph_instance(["a", "b", "c", "d"], [("a", "b", 1.0), ("c", "d", 2.0)],
+                             [pn.DemandSpec("a", "b"), pn.DemandSpec("c", "d")])
+    assert pn.shortest_path_length(inst, "a", "d") == math.inf
+    assert pn.shortest_path_union_baseline(inst).cost == 3.0
+    with pytest.raises(ScenarioError):
+        pn.shortest_path_length(inst, "a", "z")
 
 
 def test_grid_scenario_document_roundtrip(tmp_path):
