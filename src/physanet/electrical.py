@@ -15,15 +15,20 @@ are all computed from ``G`` and ``W`` in ``s`` columns; the k-column
 ``P``, ``Q`` and ``Lambda`` are formed only when asked for.
 
 The grounded Laplacian's pattern is fixed per grounding, so its layout
-is computed once.  A graph's nodes are ordered by reverse Cuthill-McKee,
-and every step assembles the matrix straight into LAPACK band storage and
-factors it by banded Cholesky; a general matrix takes the full width.  A
-graph whose band is wider than ``MAX_BANDWIDTH`` (a hub, long edges) is
-ordered by symmetric minimum degree instead, and every step factors the reordered
-CSC matrix by sparse LU on its diagonal, without pivoting, which for a
-symmetric positive definite matrix is as stable as Cholesky.  Iterative
-refinement works on the residual in incidence form,
-``A (w * A^T G) - U``, which also serves the final check.
+is computed once.  A graph's nodes are ordered by reverse Cuthill-McKee
+from a pseudo-peripheral level set (George and Liu), which narrows the
+band of the eight-neighbour grids by a quarter to a third against scipy's
+``reverse_cuthill_mckee``, and every step assembles the matrix straight
+into LAPACK band storage and factors it by banded Cholesky; a general
+matrix takes the full width.  Wide bands with many right-hand sides are
+solved block by block with level-3 BLAS (``_BandBlocks``), the others by
+LAPACK's column-by-column ``pbtrs``.  A graph whose band is wider than
+``MAX_BANDWIDTH`` (a hub, long edges) is ordered by symmetric minimum
+degree instead, and every step factors the reordered CSC matrix by sparse
+LU on its diagonal, without pivoting, which for a symmetric positive
+definite matrix is as stable as Cholesky.  Iterative refinement works on
+the residual in incidence form, ``A (x * C^-1 A^T G) - U``, which also
+serves the final check.
 
 Each step's BLAS calls are small, so ``dynamics.run`` integrates with every
 OpenBLAS in the process set to one thread (``_single_threaded_blas``).
@@ -34,10 +39,11 @@ from __future__ import annotations
 import contextlib
 import ctypes
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.sparse as sp
 import scipy.sparse.csgraph
 import scipy.sparse.linalg as spla
@@ -47,16 +53,30 @@ from .model import Instance
 
 DEFAULT_SOLVE_TOL = 1e-10
 
-# Incidence systems whose reverse Cuthill-McKee half-bandwidth b is at
-# most this are factored as a band, wider ones by sparse LU.  Band work
-# grows like size * b^2 and LU work on these graphs about like size, so the
+# Incidence systems whose half-bandwidth b in ``_band_order`` is at most
+# this are factored as a band, wider ones by sparse LU.  Band work grows
+# like size * b^2 and LU work on these graphs about like size, so the
 # crossover is a width.  Factor plus a 19-column solve at log-uniform
-# capacities, one OpenBLAS thread (ms, band/LU, median of 3 x 8 x 30 calls):
-# generated grids of 1,568 nodes with 0, 10, 15, 30 random long edges
-# (b = 73, 150, 188, 245) 3.7/5.9, 5.5/6.5, 6.7/5.9, 9.8/6.4; of 3,217
-# nodes (b = 97, 165, 194, 220) 7.5/13.3, 10.4/9.9, 12.0/9.4, 18.0/13.1;
-# of 6,305 nodes (b = 133, 212) 18.9/20.8, 27.0/20.8.
+# capacities, one OpenBLAS thread (ms, band/LU, median of 3 x 8 calls), on
+# generated grids with random long edges (0 to 30 node pairs): of 1,568
+# nodes, b = 50 1.1/2.7, 97 1.7/2.7, 113 1.9/2.9, 134 2.3/2.8, 159 2.7/2.9,
+# 165 2.9/2.8, 177 2.9/2.8, 196 3.2/2.9; of 3,217 nodes, b = 76 2.9/5.9,
+# 123 4.5/5.9, 176 6.4/6.3, 179 6.3/7.0, 187 6.9/6.0, 217 7.9/6.2,
+# 265 11.0/6.2; of 6,305 nodes, b = 103 7.6/13.6, 326 28.9/14.1.
 MAX_BANDWIDTH = 160
+
+# Band systems at least this wide, with at least this many right-hand
+# sides, are solved by ``_BandBlocks``; the others by ``cho_solve_banded``.
+# The blocked solve pays per block in Python and per factor for its mask,
+# and gains on each column.  solve_commodities per call, one OpenBLAS
+# thread (ms, LAPACK/blocked, median of 7 x 40 calls), on generated grids
+# with 19 columns: b = 10 0.076/0.089, 14 0.124/0.119, 17 0.189/0.184,
+# 22 0.279/0.239, 26 0.454/0.338, 33 0.793/0.621, 50 2.08/1.53; with s
+# columns at b = 22 (s = 4, 8, 10, 12, 16: 0.123/0.156, 0.161/0.171,
+# 0.183/0.186, 0.199/0.188, 0.237/0.196) and at b = 50 (s = 1, 4, 8:
+# 0.63/0.87, 0.92/1.01, 1.24/1.13).
+BLOCKED_SOLVE_MIN_BANDWIDTH = 20
+BLOCKED_SOLVE_MIN_COLUMNS = 12
 
 # Iterative refinement stops at this fraction of ``solve_tol`` so that the
 # per-commodity residual check after it passes with room to spare.
@@ -147,11 +167,16 @@ class _GroundedSystem:
     the pattern alone.  ``keep`` and ``rhs`` list the grounded nodes in
     elimination order.
 
-    - Band (the default): incidence instances order the nodes by reverse
-      Cuthill-McKee, and each edge's lower-triangle entries get a fixed
-      slot in LAPACK's lower band storage ``(b + 1, size)``, so assembly
-      is one ``bincount``.  General matrices keep their node order and
-      take the full width, ``b = size - 1``.
+    - Band (the default): incidence instances order the nodes by
+      ``_band_order``, reverse Cuthill-McKee from a pseudo-peripheral
+      level set, and each edge's lower-triangle entries get a fixed slot
+      in LAPACK's lower band storage ``(b + 1, size)``, so assembly is one
+      ``bincount``.  A band of at least ``BLOCKED_SOLVE_MIN_BANDWIDTH``
+      with at least ``BLOCKED_SOLVE_MIN_COLUMNS`` right-hand sides is
+      padded to whole ``b x b`` blocks and solved by ``_BandBlocks``; the
+      others take ``cho_solve_banded``.  General matrices keep their node
+      order and take the full width, ``b = size - 1``, and
+      ``cho_solve_banded``.
     - Sparse LU (``splu``): an incidence system whose half-bandwidth
       ``b`` exceeds ``MAX_BANDWIDTH`` is ordered by symmetric minimum
       degree instead and refilled into a fixed CSC pattern.
@@ -161,7 +186,7 @@ class _GroundedSystem:
         n, m = instance.n, instance.m
         keep = np.setdiff1d(np.arange(n), np.array(nodes, dtype=np.intp))
         size = self.size = keep.size
-        self.splu = False
+        self.splu, self.blocks, self.pad = False, None, np.zeros(0, dtype=np.intp)
         if not instance.is_incidence:
             self.A_keep = instance.A[keep]
             self.width = size  # b = size - 1
@@ -181,7 +206,7 @@ class _GroundedSystem:
         inside = (rows >= 0) & (cols >= 0)
         rows, cols, edge, sign = rows[inside], cols[inside], edge[inside], sign[inside]
         pattern = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(size, size))
-        order = scipy.sparse.csgraph.reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        order = _band_order(pattern)
         rank = np.empty(size, dtype=np.intp)
         rank[order] = np.arange(size)
         r, c = rank[rows], rank[cols]
@@ -203,7 +228,13 @@ class _GroundedSystem:
         else:
             lower = r >= c
             self.width = bandwidth + 1
-            self.slots = self.width * size
+            padded = size
+            if (bandwidth >= BLOCKED_SOLVE_MIN_BANDWIDTH
+                    and U.shape[1] >= BLOCKED_SOLVE_MIN_COLUMNS):
+                self.blocks = _BandBlocks(size, bandwidth)
+                padded = self.blocks.padded
+                self.pad = np.arange(size, padded) * self.width
+            self.slots = self.width * padded
             self.slot = _band_slot(r[lower], c[lower], self.width)
             self.edge, self.sign = edge[lower], sign[lower]
         self.keep, self.rhs = keep[order], np.ascontiguousarray(U[keep[order]])
@@ -214,7 +245,8 @@ class _GroundedSystem:
 
         The matrix is symmetric positive definite: the band takes Cholesky,
         and sparse LU takes the diagonal pivots in the fixed order, which
-        for such a matrix is as stable as Cholesky.
+        for such a matrix is as stable as Cholesky.  A blocked solve reads
+        buffers of the system, so it holds only until the next ``factor``.
         """
         if self.A_keep is None:
             data = np.bincount(self.slot, weights=self.sign * w[self.edge],
@@ -230,16 +262,154 @@ class _GroundedSystem:
                                  options={"SymmetricMode": True}).solve
             except RuntimeError as exc:
                 raise SolverError(f"sparse factorization failed: {exc}") from exc
+        data[self.pad] = 1.0
         try:
-            cb = scipy.linalg.cholesky_banded(data.reshape(self.size, self.width).T,
+            cb = scipy.linalg.cholesky_banded(data.reshape(-1, self.width).T,
                                               lower=True, overwrite_ab=True,
                                               check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise SolverError(f"grounded Laplacian is not positive definite: {exc}") from exc
+        if self.blocks is not None:
+            return self.blocks.solver(cb)
 
         def solve(R):
             return scipy.linalg.cho_solve_banded((cb, True), R, check_finite=False)
         return solve
+
+
+class _BandBlocks:
+    """Level-3 solves on a band Cholesky factor of half-bandwidth ``b``.
+
+    Cut into ``b x b`` blocks (``q = max(b, 1)`` rows each), a band factor
+    is block bidiagonal: lower-triangular diagonal blocks ``D_K`` and
+    upper-triangular sub-diagonal blocks ``S_K``.  LAPACK's lower band
+    storage puts ``L[i, j]`` at flat offset ``j b + i``, so both families
+    are strided views of the factor with leading dimension ``b``; ``trsm``
+    reads only the lower triangle of ``D_K``, while the entries of ``S_K``
+    below its triangle belong to other columns and are masked off into
+    ``S``.  The band is padded to whole blocks, with a unit diagonal in
+    the padding, and ``L L^T G = R`` costs one ``dtrsm`` and one ``dgemm``
+    per block each way, on all columns at once, where LAPACK ``pbtrs``
+    takes the columns one by one.
+    """
+
+    def __init__(self, size: int, b: int):
+        q = max(b, 1)
+        self.b, self.q, self.size = b, q, size
+        self.count = -(-size // q)
+        self.padded = self.count * q
+        # S[K, c, r] = L[(K + 1) q + r, K q + c] lies in the band iff r - c <= b - q.
+        col, row = np.indices((q, q))
+        self.mask = row - col <= b - q
+        self.S = np.zeros((max(self.count - 1, 0), q, q))
+
+    def solver(self, cb: np.ndarray):
+        """The solve of ``L L^T G = R`` for the band factor ``cb``."""
+        b, q, count, size = self.b, self.q, self.count, self.size
+        flat = np.ravel(cb.T)
+        step = flat.itemsize
+        # D[K][r, c] = L[K q + r, K q + c]: Fortran order with leading dimension b.
+        D = np.lib.stride_tricks.as_strided(
+            flat, shape=(count, q, q), strides=(q * (b + 1) * step, step, b * step))
+        if count > 1:
+            below = np.lib.stride_tricks.as_strided(
+                flat[q:], shape=(count - 1, q, q),
+                strides=(q * (b + 1) * step, b * step, step))
+            np.copyto(self.S, below, where=self.mask)
+        # S[K].T is S_K in Fortran order.
+        S = self.S
+        trsm, gemm = scipy.linalg.blas.dtrsm, scipy.linalg.blas.dgemm
+
+        def solve(R):
+            # Z[K] is the block G_K^T in Fortran order.  Forward:
+            # Y_K^T D_K^T = R_K^T - Y_{K-1}^T S_{K-1}^T, with Y = L^-1 R.
+            Y = np.empty((self.padded, R.shape[1]))
+            Y[:size], Y[size:] = R, 0.0
+            Z = Y.reshape(count, q, -1).transpose(0, 2, 1)
+            for K in range(count):
+                if K:
+                    gemm(-1.0, Z[K - 1], S[K - 1].T, 1.0, Z[K], trans_b=1, overwrite_c=True)
+                trsm(1.0, D[K], Z[K], side=1, lower=1, trans_a=1, overwrite_b=True)
+            # Backward: G_K^T D_K = Y_K^T - G_{K+1}^T S_K.
+            for K in range(count - 1, -1, -1):
+                if K < count - 1:
+                    gemm(-1.0, Z[K + 1], S[K].T, 1.0, Z[K], overwrite_c=True)
+                trsm(1.0, D[K], Z[K], side=1, lower=1, overwrite_b=True)
+            return Y[:size]
+        return solve
+
+
+def _band_order(pattern: sp.csr_matrix) -> np.ndarray:
+    """Reverse Cuthill-McKee order of a symmetric pattern for a narrow band.
+
+    The search of George and Liu (1981) finds a pseudo-peripheral node;
+    the Cuthill-McKee order then starts from every node of that node's
+    last level at once, in the order its own Cuthill-McKee order lists
+    them, and is reversed.  On the eight-neighbour grids this gives
+    half-bandwidths of 26 and 50 where scipy's ``reverse_cuthill_mckee``,
+    started from a node of minimum degree, gives 34 and 73.  scipy's order
+    is kept where it is narrower and for a disconnected pattern.
+    """
+    order = scipy.sparse.csgraph.reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    size = pattern.shape[0]
+    if size < 3:  # every order of two nodes is as narrow
+        return order
+    degree = np.diff(pattern.indptr)
+    bfs = partial(scipy.sparse.csgraph.dijkstra, pattern, unweighted=True)
+    dist = bfs(indices=int(np.argmin(degree)))
+    if not np.all(np.isfinite(dist)):
+        return order
+    while True:
+        last = np.flatnonzero(dist == dist.max())
+        node = int(last[np.argmin(degree[last])])
+        further = bfs(indices=node)
+        if further.max() <= dist.max():
+            break
+        dist = further
+    around = _cuthill_mckee(pattern, further, np.array([node]))
+    start = around[size - np.count_nonzero(further == further.max()):]
+    level_order = _cuthill_mckee(pattern, bfs(indices=start, min_only=True), start)[::-1]
+    if _half_bandwidth(pattern, order) < _half_bandwidth(pattern, level_order):
+        return order
+    return level_order
+
+
+def _cuthill_mckee(pattern: sp.csr_matrix, dist: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Cuthill-McKee order of a connected pattern from the nodes ``start``.
+
+    ``dist`` is each node's distance from ``start``.  Level by level, each
+    node follows the first-placed of its neighbours one level in, ties
+    broken by degree and then by index.
+    """
+    size = pattern.shape[0]
+    degree = np.diff(pattern.indptr)
+    dist = dist.astype(np.intp)
+    rows = np.repeat(np.arange(size), degree)
+    outward = dist[pattern.indices] == dist[rows] + 1
+    parent, child = rows[outward], pattern.indices[outward]
+    by = np.lexsort((child, dist[child]))
+    parent, child = parent[by], child[by]
+    # Each child's edges form one run; the runs are sorted by level.
+    first = np.flatnonzero(np.r_[True, child[1:] != child[:-1]])
+    nodes, first = child[first], np.r_[first, child.size]
+    bounds = np.searchsorted(dist[nodes], np.arange(1, dist.max() + 2))
+    pos = np.empty(size, dtype=np.intp)
+    pos[start] = np.arange(start.size)
+    levels = [start]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        key = np.minimum.reduceat(pos[parent[first[lo]:first[hi]]], first[lo:hi] - first[lo])
+        level = nodes[lo:hi][np.lexsort((degree[nodes[lo:hi]], key))]
+        pos[level] = np.arange(hi - lo) + (lo + start.size)
+        levels.append(level)
+    return np.concatenate(levels)
+
+
+def _half_bandwidth(pattern: sp.csr_matrix, order: np.ndarray) -> int:
+    """Largest ``|rank[i] - rank[j]|`` over the entries ``(i, j)`` of the pattern."""
+    rank = np.empty(pattern.shape[0], dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    rows = np.repeat(rank, np.diff(pattern.indptr))
+    return int(np.abs(rows - rank[pattern.indices]).max(initial=0))
 
 
 def _band_slot(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
@@ -264,7 +434,12 @@ class _Context:
     """
 
     def __init__(self, instance: Instance):
-        self.AT = instance.A.T.tocsr() if instance.is_incidence else instance.A.T
+        # C^-1 A^T: drops per unit cost come from one product.
+        if instance.is_incidence:
+            self.AT = instance.A.T.tocsr()
+            self.AT.data /= np.repeat(instance.c, np.diff(self.AT.indptr))
+        else:
+            self.AT = instance.A.T / instance.c[:, None]
         self.U, self.W = _demand_basis(instance)
         self.b_scale = np.maximum(np.linalg.norm(instance.B, axis=0), 1e-300)
         self.inner_target = INNER_TOL_FACTOR * np.maximum(
@@ -436,12 +611,13 @@ def solve_commodities(instance: Instance, x: np.ndarray,
     # Up to two rounds of iterative refinement guard against ill-conditioned
     # states (capacities spread over many orders of magnitude near the floor).
     # They refine against the residual R = L(x) G - U in incidence form,
-    # which keeps floor-level conductances that the assembled diagonal sums
-    # round away; its last value also serves the check below.
+    # A (x * C^-1 A^T G) - U, which keeps floor-level conductances that the
+    # assembled diagonal sums round away; its last value also serves the
+    # check below.
     target = ctx.inner_target * solve_tol
     for rounds_left in (2, 1, 0):
         drops = ctx.AT @ G
-        R = inst.A @ (w[:, None] * drops) - U
+        R = inst.A @ (x[:, None] * drops) - U
         if rounds_left == 0 or np.all(np.linalg.norm(R, axis=0) <= target):
             break
         G[system.keep] -= solve(R[system.keep])
@@ -456,7 +632,7 @@ def solve_commodities(instance: Instance, x: np.ndarray,
             residual=float(residuals[worst]), commodity=worst)
 
     energy = _quadratic_forms(W, U.T @ G)
-    return FlowSolution(G=G, W=W, drops=drops / inst.c[:, None], x=x,
+    return FlowSolution(G=G, W=W, drops=drops, x=x,
                         energy_per_commodity=energy, residuals=residuals)
 
 

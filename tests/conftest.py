@@ -52,11 +52,16 @@ def graph_parts(inst: pn.Instance):
 
 @pytest.fixture
 def factorization(monkeypatch):
-    """``factorization("band" | "splu")`` makes incidence instances built
-    afterwards factor that way, by moving the half-bandwidth limit of the
-    selection rule.  The layout is fixed when an instance's grounded system
-    is first built, so each path needs a fresh instance."""
+    """``factorization("band" | "splu" | "blocked")`` makes incidence
+    instances built afterwards factor that way, by moving the half-bandwidth
+    limit of the selection rule; ``"blocked"`` is the band with every solve
+    made by blocks, whatever its width and number of columns.  The layout is
+    fixed when an instance's grounded system is first built, so each path
+    needs a fresh instance."""
     def use(kind: str) -> None:
         monkeypatch.setattr(pn.electrical, "MAX_BANDWIDTH",
-                            {"band": math.inf, "splu": -1}[kind])
+                            -1 if kind == "splu" else math.inf)
+        if kind == "blocked":
+            monkeypatch.setattr(pn.electrical, "BLOCKED_SOLVE_MIN_BANDWIDTH", 0)
+            monkeypatch.setattr(pn.electrical, "BLOCKED_SOLVE_MIN_COLUMNS", 0)
     return use

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import physanet as pn
 from physanet.errors import SolverError
 
-from conftest import random_graph_instance
+from conftest import graph_parts, random_graph_instance
 
 
 def test_single_edge_laplacian(single_edge):
@@ -279,8 +279,9 @@ def _path_graph(n):
 
 
 def _grid_with_hub():
-    """The Tokyo grid plus a hub joined to every 10th node: its reverse
-    Cuthill-McKee half-bandwidth exceeds the limit, so it takes sparse LU."""
+    """The Tokyo grid plus a hub joined to every 10th node: a wide band
+    (b = 215) with a sparse minimum-degree factor, for the sparse-LU path,
+    which the ``factorization`` fixture selects."""
     grid = pn.load_scenario(TOKYO).instance
     nodes = list(grid.node_ids)
     edges = [(e.tail, e.head, float(c)) for e, c in zip(grid.edge_meta, grid.c)]
@@ -329,9 +330,10 @@ def test_factor_entry_points(monkeypatch, ring):
     assert calls == {"cholesky_banded": 7, "splu": 0}
 
 
-def test_grid_is_ordered_once_by_reverse_cuthill_mckee(monkeypatch):
-    # one order per grounded system, a half-bandwidth of at most 34, and
-    # one band factor per solve
+def test_grid_is_ordered_once_from_a_peripheral_level_set(monkeypatch):
+    # one order per grounded system (scipy's reverse Cuthill-McKee is its
+    # fallback, computed once), a half-bandwidth of at most 26 where scipy's
+    # order gives 34, and one band factor per solve
     calls = _count_factor_calls(monkeypatch)
     ordered = []
     original = scipy.sparse.csgraph.reverse_cuthill_mckee
@@ -348,11 +350,11 @@ def test_grid_is_ordered_once_by_reverse_cuthill_mckee(monkeypatch):
         assert calls == {"cholesky_banded": solves, "splu": 0}
     assert len(ordered) == 1
     (system,) = pn.electrical._context(grid)._systems.values()
-    assert not system.splu and system.width - 1 <= 34
+    assert not system.splu and system.width - 1 <= 26
 
 
 def test_grid_is_ordered_once_and_factored_on_the_diagonal(monkeypatch, factorization):
-    # a grid with a hub is too wide for the band: a symmetric minimum-degree
+    # a grid with a hub on the sparse-LU path: a symmetric minimum-degree
     # order, computed once per grounded system, and diagonal pivots: no fill
     # beyond that order's, no row exchanges; the band path agrees
     factors = []
@@ -364,6 +366,7 @@ def test_grid_is_ordered_once_and_factored_on_the_diagonal(monkeypatch, factoriz
         return lu
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recorded)
+    factorization("splu")
     hub = _grid_with_hub()
     rng = np.random.default_rng(3)
     states = [10.0 ** rng.uniform(-9, 1, size=hub.m) for _ in range(2)]
@@ -381,6 +384,165 @@ def test_grid_is_ordered_once_and_factored_on_the_diagonal(monkeypatch, factoriz
         assert np.abs(other.energy_per_commodity - sol.energy_per_commodity).max() \
             <= 1e-9 * sol.energy_per_commodity.max()
     assert len(factors) == 3
+
+
+def _lattice(width, height, pairs):
+    """A ``width`` x ``height`` four-neighbour lattice (``width < height``),
+    with demands between ``pairs`` mirrored pairs of its nodes."""
+    nodes = [f"{i},{j}" for j in range(height) for i in range(width)]
+    edges = [(f"{i},{j}", f"{i + 1},{j}", 1.0) for j in range(height) for i in range(width - 1)]
+    edges += [(f"{i},{j}", f"{i},{j + 1}", 1.0) for j in range(height - 1) for i in range(width)]
+    demands = [pn.DemandSpec(nodes[3 * d + 1], nodes[-3 * d - 2], 1.0) for d in range(pairs)]
+    return pn.graph_instance(nodes, edges, demands)
+
+
+def _disjoint_union(parts):
+    """One instance with each of ``parts`` as a component."""
+    nodes, edges, demands = [], [], []
+    for p, part in enumerate(parts):
+        names, part_edges, part_demands = graph_parts(part)
+        nodes += [f"{p}:{v}" for v in names]
+        edges += [(f"{p}:{u}", f"{p}:{v}", c) for u, v, c in part_edges]
+        demands += [pn.DemandSpec(f"{p}:{d.source}", f"{p}:{d.sink}", d.amount)
+                    for d in part_demands]
+    return pn.graph_instance(nodes, edges, demands)
+
+
+def _grounded_pattern(inst):
+    """Pattern of the grounded Laplacian of the default plan, in node order."""
+    L = pn.assemble_laplacian(inst, np.ones(inst.m), grounding=pn.default_grounding(inst))
+    pattern = sp.csr_matrix(L)
+    pattern.data[:] = 1.0
+    return pattern
+
+
+def _half_bandwidth(pattern, order):
+    rank = np.argsort(order)
+    coo = pattern.tocoo()
+    return int(np.abs(rank[coo.row] - rank[coo.col]).max(initial=0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), components=st.integers(1, 3))
+def test_band_order_is_never_wider_than_scipy_reverse_cuthill_mckee(seed, components):
+    rng = np.random.default_rng(seed)
+    parts = [random_graph_instance(rng, n_max=40) for _ in range(components)]
+    pattern = _grounded_pattern(parts[0] if components == 1 else _disjoint_union(parts))
+    order = pn.electrical._band_order(pattern)
+    assert np.array_equal(np.sort(order), np.arange(pattern.shape[0]))
+    scipy_order = scipy.sparse.csgraph.reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    assert _half_bandwidth(pattern, order) <= _half_bandwidth(pattern, scipy_order)
+
+
+def _band_storage(M, b, padded):
+    """Lower band storage of the symmetric ``M`` of half-bandwidth ``b``,
+    padded to ``padded`` columns with a unit diagonal."""
+    ab = np.zeros((b + 1, padded))
+    for d in range(b + 1):
+        ab[d, :M.shape[0] - d] = np.diagonal(M, -d)
+    ab[0, M.shape[0]:] = 1.0
+    return ab
+
+
+@pytest.mark.parametrize("size, b", [
+    (1, 0),    # a single node: one 1 x 1 block
+    (6, 0),    # a diagonal system
+    (4, 4),    # a single block
+    (12, 3),   # a multiple of b
+    (10, 3),   # not a multiple of b
+    (9, 8),    # the full width: the second block is padding but one row
+    (61, pn.electrical.BLOCKED_SOLVE_MIN_BANDWIDTH),
+])
+def test_blocked_band_solve_matches_lapack_and_dense(size, b):
+    rng = np.random.default_rng(100 * size + b)
+    rows, cols = np.indices((size, size))
+    M = np.where(np.abs(rows - cols) <= b, rng.uniform(-1, 1, (size, size)), 0.0)
+    M = M + M.T
+    M += np.diag(np.abs(M).sum(axis=1) + 0.1)
+    blocks = pn.electrical._BandBlocks(size, b)
+    cb = scipy.linalg.cholesky_banded(_band_storage(M, b, blocks.padded), lower=True)
+    R = rng.standard_normal((size, 5))
+    got = blocks.solver(cb)(R)
+    padded = np.zeros((blocks.padded, 5))
+    padded[:size] = R
+    lapack = scipy.linalg.cho_solve_banded((cb, True), padded)[:size]
+    dense = np.linalg.solve(M, R)
+    assert np.abs(got - lapack).max() <= 1e-14 * np.abs(lapack).max()
+    assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def _star(leaves):
+    """A star listed centre first, so the default plan grounds the centre
+    and the grounded Laplacian is diagonal (b = 0)."""
+    nodes = ["centre"] + [f"leaf{i}" for i in range(leaves)]
+    edges = [("centre", v, 1.0 + i) for i, v in enumerate(nodes[1:])]
+    demands = [pn.DemandSpec(nodes[i], nodes[-i], 1.0) for i in range(1, leaves // 2 + 1)]
+    return pn.graph_instance(nodes, edges, demands)
+
+
+@pytest.mark.parametrize("shape", ["star", "components", "tokyo"])
+def test_blocked_solve_on_grounded_graphs(monkeypatch, shape):
+    # the blocked solve against cho_solve_banded on the same band and a
+    # dense solve: on a diagonal system (a star grounded at its centre),
+    # several grounded components and the Tokyo grid (392 = 15 * 26 + 2
+    # rows), at moderate capacities and at capacities spread over ten
+    # decades, where only backward errors are comparable (the full solve
+    # at such states is checked by test_refinement_on_extreme_states[blocked])
+    def build():
+        if shape == "star":
+            return _star(9)
+        if shape == "components":
+            rng = np.random.default_rng(8)
+            return _disjoint_union([random_graph_instance(rng, n_max=30, k_max=4)
+                                    for _ in range(3)])
+        return pn.load_scenario(TOKYO).instance
+
+    monkeypatch.setattr(pn.electrical, "BLOCKED_SOLVE_MIN_COLUMNS", 0)
+    paths = {}
+    for kind, limit in (("lapack", math.inf), ("blocked", 0)):
+        monkeypatch.setattr(pn.electrical, "BLOCKED_SOLVE_MIN_BANDWIDTH", limit)
+        inst = build()
+        ctx = pn.electrical._context(inst)
+        system = ctx.system(inst, ctx.default_grounding(inst))
+        assert (system.blocks is not None) == (kind == "blocked")
+        paths[kind] = inst, system
+    inst, system = paths["blocked"]
+    assert np.array_equal(system.keep, paths["lapack"][1].keep)
+    b = system.width - 1
+    assert {"star": b == 0, "components": len(pn.default_grounding(inst).nodes) == 3,
+            "tokyo": (b, system.size) == (26, 392)}[shape]
+
+    rng = np.random.default_rng(4)
+    for x in (rng.uniform(0.5, 2.0, size=inst.m), 10.0 ** rng.uniform(-9, 1, size=inst.m)):
+        L = pn.assemble_laplacian(inst, x).toarray()[np.ix_(system.keep, system.keep)]
+        G = {kind: s.factor(x / inst.c)(s.rhs) for kind, (_, s) in paths.items()}
+        for got in G.values():
+            backward = np.abs(L @ got - system.rhs).max() / (np.abs(L).max() * np.abs(got).max())
+            assert backward <= 1e-14
+        if x.min() < 0.5:
+            continue
+        dense = np.linalg.solve(L, system.rhs)
+        assert np.abs(G["blocked"] - G["lapack"]).max() <= 1e-13 * np.abs(dense).max()
+        assert np.abs(G["blocked"] - dense).max() <= 1e-12 * np.abs(dense).max()
+        sols = {kind: pn.solve_commodities(inst_, x) for kind, (inst_, _) in paths.items()}
+        for field in ("Q", "energy_per_commodity"):
+            got, ref = getattr(sols["blocked"], field), getattr(sols["lapack"], field)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("width", [pn.electrical.BLOCKED_SOLVE_MIN_BANDWIDTH - 1,
+                                   pn.electrical.BLOCKED_SOLVE_MIN_BANDWIDTH])
+def test_blocked_solve_starts_at_the_crossover(width):
+    # a lattice is ordered row by row, so b is its width; with enough
+    # columns, the band at the crossover is solved by blocks, below it by LAPACK
+    inst = _lattice(width, 30, pairs=pn.electrical.BLOCKED_SOLVE_MIN_COLUMNS)
+    sol = pn.solve_commodities(inst, np.ones(inst.m))
+    (system,) = pn.electrical._context(inst)._systems.values()
+    assert system.width - 1 == width and sol.G.shape[1] >= pn.electrical.BLOCKED_SOLVE_MIN_COLUMNS
+    assert (system.blocks is not None) == (width >= pn.electrical.BLOCKED_SOLVE_MIN_BANDWIDTH)
+    L = pn.assemble_laplacian(inst, np.ones(inst.m))
+    residual = np.linalg.norm(L @ sol.P - inst.B, axis=0) / np.linalg.norm(inst.B, axis=0)
+    assert residual.max() <= 1e-12
 
 
 def test_solved_instance_is_freed():
@@ -526,11 +688,12 @@ def test_basis_solve_matches_pseudo_inverse_oracle(seed, shape):
 # SolverErrors on these states when refinement used the residual of the
 # assembled grounded matrix, whose diagonal sums round away floor-level
 # conductances.
-# The band path inherits the bound of the dense Cholesky it replaces.
-ASSEMBLED_REFINEMENT_FAILURES = {"band": 10, "splu": 12}
+# The band path inherits the bound of the dense Cholesky it replaces, and
+# its blocked solve the band's.
+ASSEMBLED_REFINEMENT_FAILURES = {"band": 10, "splu": 12, "blocked": 10}
 
 
-@pytest.mark.parametrize("kind", ["band", "splu"])
+@pytest.mark.parametrize("kind", ["band", "splu", "blocked"])
 def test_refinement_on_extreme_states(factorization, kind):
     # capacities log-uniform over ten decades; refinement works on the
     # incidence-form residual A (w * A^T G) - U
