@@ -195,13 +195,14 @@ class Trajectory:
         if has_gap:
             cols.append("gap")
         header = ",".join(cols + [f"x_{lab}" for lab in labels])
+        row = ",".join(["%.12g"] * (len(cols) + len(labels)))
         lines = [header]
         for r in self.records:
             vals = [r.t, r.lyapunov, r.cost, r.energy, r.residual]
             if has_gap:
                 vals.append(float("nan") if r.gap is None else r.gap)
             vals.extend(r.x)
-            lines.append(",".join(f"{v:.12g}" for v in vals))
+            lines.append(row % tuple(vals))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -335,9 +336,13 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
                     gap = certificate(instance, x, sol).gap
                 ratio = float("nan")
                 if is_incidence and instance.k > 0:
-                    # |Q| formed here and dropped, not cached on the kept solution
-                    flows = x[:, None] * np.abs(sol.drops @ sol.W)
-                    ratio = float((flows / b1_safe[None, :]).max())
+                    # |Q| / ||b||_1 formed in place here and dropped, not
+                    # cached on the kept solution
+                    flows = sol.drops @ sol.W
+                    np.abs(flows, out=flows)
+                    flows *= x[:, None]
+                    flows /= b1_safe
+                    ratio = float(flows.max())
                 traj.records.append(TrajectoryRecord(
                     t=t, x=x.copy(), lyapunov=lyap, cost=cost, energy=energy,
                     residual=residual, gap=gap, slack_from_prev=slack_accum,

@@ -8,11 +8,13 @@ Capacities may sit at a tiny positive floor; all formulas below only ever
 multiply by ``x`` (the ``0^2/0 = 0`` convention), never divide by it.
 
 Demands usually share a few terminals, so the solve works in a column basis
-``U`` (n x s) of the demands with ``B = U W``: the grounded Laplacian is
-factored once per call and solved for the basis potentials ``G`` in
-``L(x) G = U``.  Then ``P = G W``, and energies, drop norms and residuals
-are all computed from ``G`` and ``W`` in ``s`` columns; the k-column
-``P``, ``Q`` and ``Lambda`` are formed only when asked for.
+``U`` (n x s) of the demands with ``B = U W`` (to ``BASIS_TOL``), where
+the rows of ``W`` are orthonormal: the grounded Laplacian is factored once
+per call and solved for the basis potentials ``G`` in ``L(x) G = U``.
+Then ``P = G W``, the drop norms ``||Lambda_e||_2`` are the row norms of
+the basis drops (``W W^T = I``), and energies and residuals are computed
+from ``G`` and ``W`` in ``s`` columns; the k-column ``P``, ``Q`` and
+``Lambda`` are formed only when asked for.
 
 The grounded Laplacian's pattern is fixed per grounding, so its layout
 is computed once.  A graph's nodes are ordered by reverse Cuthill-McKee
@@ -27,7 +29,8 @@ LAPACK's column-by-column ``pbtrs``.  A graph whose band is wider than
 degree instead, and every step factors the reordered CSC matrix by sparse
 LU on its diagonal, without pivoting, which for a symmetric positive
 definite matrix is as stable as Cholesky.  Iterative refinement works on
-the residual in incidence form, ``A (x * C^-1 A^T G) - U``, which also
+the residual in incidence form, ``A X (C^-1 A^T G) - U``, on a graph one
+sparse product with the capacities folded into ``A``'s entries, which also
 serves the final check.
 
 Each step's BLAS calls are small, so ``dynamics.run`` integrates with every
@@ -82,6 +85,12 @@ BLOCKED_SOLVE_MIN_COLUMNS = 12
 # per-commodity residual check after it passes with room to spare.
 INNER_TOL_FACTOR = 0.1
 
+# The orthonormal demand basis is kept when it reproduces every demand
+# column to this relative error; the rotation's rounding is up to 9e-15
+# on the generated grids and below 1.5e-14 on small random graphs.  The
+# error is added to each commodity's checked residual.
+BASIS_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class GroundingPlan:
@@ -99,12 +108,12 @@ class FlowSolution:
     """Potentials, flows and normalized drops for all commodities at one x.
 
     The solve's own results are in the ``s`` columns of the demand basis
-    (``B = U W``); ``P``, ``Lambda``, ``Q`` and the per-edge drop norms are
-    derived from them on first access.
+    (``B = U W`` with ``W W^T = I``); ``P``, ``Lambda``, ``Q`` and the
+    per-edge drop norms are derived from them on first access.
     """
 
     G: np.ndarray        # (n, s) basis potentials, L(x) G = U
-    W: np.ndarray        # (s, k) basis coefficients of the demands
+    W: np.ndarray        # (s, k) basis coefficients of the demands, orthonormal rows
     drops: np.ndarray    # (m, s) basis drops per unit cost, C^-1 A^T G
     x: np.ndarray        # (m,) capacities of the solve
     energy_per_commodity: np.ndarray  # (k,) values b_i^T p_i
@@ -127,18 +136,24 @@ class FlowSolution:
 
     @cached_property
     def lambda_sq_norms(self) -> np.ndarray:
-        """(m,) squared two-norms ``||Lambda_e||_2^2``, via the Gram matrix W W^T."""
-        quad = np.einsum("es,es->e", self.drops @ (self.W @ self.W.T), self.drops)
-        return np.maximum(quad, 0.0)
+        """(m,) squared two-norms ``||Lambda_e||_2^2``: ``Lambda = drops W``
+        and ``W W^T = I``, so they are the row sums of ``drops ** 2``."""
+        return np.einsum("es,es->e", self.drops, self.drops)
 
 
 def _demand_basis(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """Columns ``U`` and coefficients ``W`` with ``B = U W`` exactly.
+    """Columns ``U`` and coefficients ``W`` with ``B = U W`` and ``W W^T = I``.
 
     On incidence instances every terminal other than one reference per
     component gives the balanced column ``e_s - e_ref`` with coefficients
-    ``B[s]``.  That basis is taken when it has fewer columns than ``B`` and
-    reproduces it exactly; otherwise ``U = B`` and ``W = I``.
+    ``B[s]``.  That basis is considered when it has fewer columns than
+    ``B`` and reproduces it exactly.  Its coefficients are then rotated by
+    their singular value decomposition ``W = V S Z^T`` into ``U V S`` and
+    ``Z^T``, dropping the directions whose singular value is at rounding
+    level, so a rank-deficient demand set solves fewer columns.  The
+    rotation rounds, so it is kept only when it reproduces every demand
+    column to ``BASIS_TOL`` relative; otherwise ``U = B`` and ``W = I``,
+    which is exact.
     """
     B = instance.B
     k = B.shape[1]
@@ -156,8 +171,24 @@ def _demand_basis(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
             U[ref[comp[others]], cols] = -1.0
             W = B[terminals[others]]
             if np.array_equal(U @ W, B):
-                return U, W
+                V, sigma, Zt = np.linalg.svd(W, full_matrices=False)
+                rank = np.count_nonzero(
+                    sigma > sigma.max(initial=0.0) * max(W.shape) * np.finfo(float).eps)
+                U, W = U @ (V[:, :rank] * sigma[:rank]), Zt[:rank]
+                if np.all(_basis_error(U, W, B) <= BASIS_TOL):
+                    return U, W
     return np.array(B), np.eye(k)
+
+
+def _basis_error(U: np.ndarray, W: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(k,) relative errors ``||U w_i - b_i|| / ||b_i||`` of a demand basis.
+
+    Each column is first divided by its largest entry, so that the squares
+    of a tiny demand do not underflow to a zero error.
+    """
+    scale = np.maximum(np.abs(B).max(axis=0, initial=0.0), 1e-300)
+    return (np.linalg.norm((U @ W - B) / scale, axis=0)
+            / np.maximum(np.linalg.norm(B / scale, axis=0), 1e-300))
 
 
 class _GroundedSystem:
@@ -302,6 +333,8 @@ class _BandBlocks:
         col, row = np.indices((q, q))
         self.mask = row - col <= b - q
         self.S = np.zeros((max(self.count - 1, 0), q, q))
+        # S[K].T is S_K in Fortran order.
+        self.ST = [S_K.T for S_K in self.S]
 
     def solver(self, cb: np.ndarray):
         """The solve of ``L L^T G = R`` for the band factor ``cb``."""
@@ -309,15 +342,14 @@ class _BandBlocks:
         flat = np.ravel(cb.T)
         step = flat.itemsize
         # D[K][r, c] = L[K q + r, K q + c]: Fortran order with leading dimension b.
-        D = np.lib.stride_tricks.as_strided(
-            flat, shape=(count, q, q), strides=(q * (b + 1) * step, step, b * step))
+        D = list(np.lib.stride_tricks.as_strided(
+            flat, shape=(count, q, q), strides=(q * (b + 1) * step, step, b * step)))
         if count > 1:
             below = np.lib.stride_tricks.as_strided(
                 flat[q:], shape=(count - 1, q, q),
                 strides=(q * (b + 1) * step, b * step, step))
             np.copyto(self.S, below, where=self.mask)
-        # S[K].T is S_K in Fortran order.
-        S = self.S
+        ST = self.ST
         trsm, gemm = scipy.linalg.blas.dtrsm, scipy.linalg.blas.dgemm
 
         def solve(R):
@@ -325,15 +357,15 @@ class _BandBlocks:
             # Y_K^T D_K^T = R_K^T - Y_{K-1}^T S_{K-1}^T, with Y = L^-1 R.
             Y = np.empty((self.padded, R.shape[1]))
             Y[:size], Y[size:] = R, 0.0
-            Z = Y.reshape(count, q, -1).transpose(0, 2, 1)
+            Z = list(Y.reshape(count, q, -1).transpose(0, 2, 1))
             for K in range(count):
                 if K:
-                    gemm(-1.0, Z[K - 1], S[K - 1].T, 1.0, Z[K], trans_b=1, overwrite_c=True)
+                    gemm(-1.0, Z[K - 1], ST[K - 1], 1.0, Z[K], trans_b=1, overwrite_c=True)
                 trsm(1.0, D[K], Z[K], side=1, lower=1, trans_a=1, overwrite_b=True)
             # Backward: G_K^T D_K = Y_K^T - G_{K+1}^T S_K.
             for K in range(count - 1, -1, -1):
                 if K < count - 1:
-                    gemm(-1.0, Z[K + 1], S[K].T, 1.0, Z[K], overwrite_c=True)
+                    gemm(-1.0, Z[K + 1], ST[K], 1.0, Z[K], overwrite_c=True)
                 trsm(1.0, D[K], Z[K], side=1, lower=1, overwrite_b=True)
             return Y[:size]
         return solve
@@ -442,10 +474,33 @@ class _Context:
             self.AT = instance.A.T / instance.c[:, None]
         self.U, self.W = _demand_basis(instance)
         self.b_scale = np.maximum(np.linalg.norm(instance.B, axis=0), 1e-300)
+        self.basis_error = _basis_error(self.U, self.W, instance.B)
+        # U is zero outside the terminals' rows.
+        self.terminals = np.flatnonzero(np.any(self.U != 0, axis=1))
+        self.U_terminals = self.U[self.terminals]
         self.inner_target = INNER_TOL_FACTOR * np.maximum(
             np.linalg.norm(self.U, axis=0), 1e-300)
         self._systems: dict[tuple[int, ...], _GroundedSystem] = {}
         self._default_grounding: GroundingPlan | None = None
+        self._idle_AX: list[sp.csr_matrix] = []
+
+    def scaled_incidence(self, A: sp.csr_matrix, x: np.ndarray) -> sp.csr_matrix:
+        """``A X`` of a graph: each entry of ``A`` times its column's capacity.
+
+        The CSR buffer is taken from the idle ones, since building a new
+        matrix costs 20-30 us (a fifth of a bow-tie step), and handed back
+        by ``release``, so solves that run at once in several threads never
+        share one.
+        """
+        try:
+            AX = self._idle_AX.pop()
+        except IndexError:
+            AX = A.copy()
+        np.multiply(A.data, x[A.indices], out=AX.data)
+        return AX
+
+    def release(self, AX: sp.csr_matrix) -> None:
+        self._idle_AX.append(AX)
 
     def default_grounding(self, instance: Instance) -> GroundingPlan:
         """``default_grounding(instance)``, computed on first use."""
@@ -595,8 +650,8 @@ def solve_commodities(instance: Instance, x: np.ndarray,
     if grounding is None:
         grounding = ctx.default_grounding(inst)
 
-    U, W = ctx.U, ctx.W
-    G = np.zeros(U.shape)
+    W = ctx.W
+    G = np.zeros(ctx.U.shape)
     if inst.k == 0:
         return FlowSolution(G=G, W=W, drops=np.zeros((inst.m, 0)), x=x,
                             energy_per_commodity=np.zeros(0),
@@ -611,19 +666,29 @@ def solve_commodities(instance: Instance, x: np.ndarray,
     # Up to two rounds of iterative refinement guard against ill-conditioned
     # states (capacities spread over many orders of magnitude near the floor).
     # They refine against the residual R = L(x) G - U in incidence form,
-    # A (x * C^-1 A^T G) - U, which keeps floor-level conductances that the
-    # assembled diagonal sums round away; its last value also serves the
-    # check below.
-    target = ctx.inner_target * solve_tol
+    # A X drops - U with drops = C^-1 A^T G, which keeps floor-level
+    # conductances that the assembled diagonal sums round away; its last
+    # value also serves the check below.  On a graph, A X scales each entry
+    # of A by its column's capacity, exactly on its +-1 entries, so the
+    # product needs no m x s temporary; U is subtracted on its nonzero rows
+    # only.  The diagonal of each round's Gram matrix R^T R holds the
+    # squared column norms the refinement reads.
+    AX = ctx.scaled_incidence(inst.A, x) if inst.is_incidence else None
+    target = (ctx.inner_target * solve_tol) ** 2
     for rounds_left in (2, 1, 0):
         drops = ctx.AT @ G
-        R = inst.A @ (x[:, None] * drops) - U
-        if rounds_left == 0 or np.all(np.linalg.norm(R, axis=0) <= target):
+        R = AX @ drops if AX is not None else inst.A @ (x[:, None] * drops)
+        R[ctx.terminals] -= ctx.U_terminals
+        gram = R.T @ R
+        if rounds_left == 0 or (gram.diagonal() <= target).all():
             break
         G[system.keep] -= solve(R[system.keep])
-    # B = U W, so L(x) P - B = R W; the per-commodity residual norms follow
-    # from the small Gram matrix R^T R.
-    residuals = np.sqrt(np.maximum(_quadratic_forms(W, R.T @ R), 0.0)) / ctx.b_scale
+    if AX is not None:
+        ctx.release(AX)
+    # L(x) P - B = R W + (U W - B); the per-commodity norms of R W follow
+    # from the Gram matrix, and the basis error bounds the second term.
+    residuals = (np.sqrt(np.maximum(_quadratic_forms(W, gram), 0.0)) / ctx.b_scale
+                 + ctx.basis_error)
     if np.any(residuals > solve_tol):
         worst = int(np.argmax(residuals))
         raise SolverError(
@@ -631,7 +696,7 @@ def solve_commodities(instance: Instance, x: np.ndarray,
             f"relative residual {residuals[worst]:.3e} > {solve_tol:.1e})",
             residual=float(residuals[worst]), commodity=worst)
 
-    energy = _quadratic_forms(W, U.T @ G)
+    energy = _quadratic_forms(W, ctx.U_terminals.T @ G[ctx.terminals])
     return FlowSolution(G=G, W=W, drops=drops, x=x,
                         energy_per_commodity=energy, residuals=residuals)
 

@@ -223,6 +223,27 @@ def test_trajectory_csv_schema(ring, tmp_path):
     assert len(lines) == 1 + len(traj.records)
 
 
+@pytest.mark.parametrize("record_gap", [False, True])
+def test_trajectory_csv_bytes_match_per_value_format(ring, tmp_path, record_gap):
+    # one "%.12g" template per row writes the same bytes as formatting each
+    # value on its own, also for nan, infinities, signed zeros and extremes
+    special = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 1e300, 1 / 3]
+    records = [pn.TrajectoryRecord(t=t, x=np.array([a, b, c]), lyapunov=a, cost=b,
+                                   energy=c, residual=t, gap=(b if record_gap else None))
+               for t, (a, b, c) in enumerate(zip(special, special[1:] + special[:1],
+                                                 special[2:] + special[:2]))]
+    traj = pn.Trajectory(instance=ring.instance, spec=pn.DynamicsSpec(kind=K.TWO_NORM),
+                         records=records)
+    path = tmp_path / "trajectory.csv"
+    traj.write_csv(path)
+    lines = path.read_bytes().decode().split("\n")
+    assert lines[-1] == "" and len(lines) == 2 + len(records)
+    for line, r in zip(lines[1:], records):
+        vals = [r.t, r.lyapunov, r.cost, r.energy, r.residual]
+        vals += [r.gap] if record_gap else []
+        assert line == ",".join(f"{v:.12g}" for v in [*vals, *r.x])
+
+
 def test_divergence_caught_at_the_step_it_happens(ring, monkeypatch):
     # a right-hand side that grows x leaves the bounded domain within a few
     # steps; the check must not wait for the next record point

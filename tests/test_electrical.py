@@ -568,6 +568,110 @@ def test_shared_terminals_solve_in_basis_and_match_explicit_residual():
                        rtol=1e-12, atol=0)
 
 
+def _pinv_oracle(inst, x):
+    """Flows and energies from the float64 pseudo-inverse of L(x), for
+    capacities of moderate spread."""
+    P = np.linalg.pinv(pn.assemble_laplacian(inst, x).toarray()) @ inst.B
+    Q = (x / inst.c)[:, None] * (inst.A.T @ P)
+    return Q, np.einsum("nk,nk->k", inst.B, P)
+
+
+def _assert_matches_pinv_oracle(inst, x, sol):
+    # commodity by commodity, so that a small demand is held to its own scale
+    Q, energy = _pinv_oracle(inst, x)
+    assert np.all(np.abs(sol.Q - Q).max(axis=0) <= 1e-10 * np.abs(Q).max(axis=0))
+    assert np.all(np.abs(sol.energy_per_commodity - energy) <= 1e-10 * np.abs(energy))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_demand_basis_is_orthonormal(seed):
+    # more demands than nodes, so terminals repeat and the terminal basis
+    # is taken; its coefficients are rotated to orthonormal rows, which
+    # makes the drop norms the row norms of the basis drops
+    rng = np.random.default_rng(seed)
+    inst = random_graph_instance(rng, n_max=6, k_min=7, k_max=10)
+    U, W = pn.electrical._demand_basis(inst)
+    assert U.shape[1] == W.shape[0] == np.linalg.matrix_rank(inst.B) < inst.k
+    assert np.abs(W @ W.T - np.eye(W.shape[0])).max() <= 1e-14
+    assert np.abs(U @ W - inst.B).max() <= 1e-14 * np.linalg.norm(inst.B)
+    x = rng.uniform(0.5, 2.0, size=inst.m)
+    sol = pn.solve_commodities(inst, x)
+    expanded = (sol.Lambda ** 2).sum(axis=1)
+    assert np.abs(sol.lambda_sq_norms - expanded).max() <= 1e-12 * expanded.max()
+    _assert_matches_pinv_oracle(inst, x, sol)
+
+
+_FIVE_NODES = ["r", "a", "b", "c", "d"]
+_FIVE_EDGES = [("r", "a", 1.0), ("a", "b", 1.5), ("b", "c", 0.7), ("c", "d", 1.2),
+               ("d", "r", 0.9), ("a", "c", 2.0)]
+
+
+def _solve_with_last_demand(last: pn.DemandSpec):
+    # three demands between the terminals a and b, then ``last``
+    demands = [pn.DemandSpec("a", "b", v) for v in (1.0, 2.0, 0.5)] + [last]
+    inst = pn.graph_instance(_FIVE_NODES, _FIVE_EDGES, demands)
+    x = np.random.default_rng(2).uniform(0.5, 2.0, size=inst.m)
+    return inst, x, pn.solve_commodities(inst, x)
+
+
+def test_rank_deficient_demands_solve_fewer_columns():
+    # with c -> r last: three balanced columns e_s - e_r, whose
+    # coefficients have rank 2
+    inst, x, sol = _solve_with_last_demand(pn.DemandSpec("c", "r", 1.0))
+    assert sol.G.shape == (inst.n, 2) and sol.W.shape == (2, 4)
+    _assert_matches_pinv_oracle(inst, x, sol)
+
+
+@pytest.mark.parametrize("tail", ["c", "a"])
+@pytest.mark.parametrize("amount", [1e-7, 1e-13, 1e-17, 1e-150])
+def test_tiny_demand_keeps_its_accuracy(tail, amount):
+    # a demand far smaller than the others: from c its direction is
+    # orthogonal to theirs, from a it shares a terminal with them.  The
+    # rotated basis must neither drop it nor round it away, and the
+    # residual check must see what the basis leaves of it
+    inst, x, sol = _solve_with_last_demand(pn.DemandSpec(tail, "r", amount))
+    ctx = pn.electrical._context(inst)
+    assert np.all(ctx.basis_error <= pn.electrical.BASIS_TOL)
+    assert np.all(ctx.basis_error <= sol.residuals)
+    _assert_matches_pinv_oracle(inst, x, sol)
+    if amount == 1e-17:
+        # below rounding level of the others: the exact basis U = B
+        assert sol.W.shape == (4, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shared=st.booleans())
+def test_capacity_scaled_residual_is_exact_on_graphs(seed, shared):
+    # the residual A X drops - U, with the capacities folded into A's +-1
+    # entries, is bitwise the residual A (x * drops) - U; so are the
+    # per-commodity residuals read from its Gram matrix
+    rng = np.random.default_rng(seed)
+    inst = (random_graph_instance(rng, n_max=6, k_min=7, k_max=10) if shared
+            else random_graph_instance(rng, n_max=30, k_max=4))
+    x = 10.0 ** rng.uniform(-3, 1, size=inst.m)
+    sol = pn.solve_commodities(inst, x)
+    ctx = pn.electrical._context(inst)
+    R = inst.A @ (x[:, None] * sol.drops) - ctx.U
+    expected = np.sqrt(np.maximum(pn.electrical._quadratic_forms(sol.W, R.T @ R), 0.0))
+    assert np.array_equal(sol.residuals, expected / ctx.b_scale + ctx.basis_error)
+
+
+def test_solves_at_once_do_not_share_the_scaled_incidence():
+    # a solve takes its A X buffer from the instance's idle ones; one that
+    # is still in use (say, by a solve in another thread) is left alone
+    rng = np.random.default_rng(5)
+    inst = random_graph_instance(rng, n_max=12, k_max=4)
+    ctx = pn.electrical._context(inst)
+    in_use = ctx.scaled_incidence(inst.A, rng.uniform(0.5, 2.0, size=inst.m))
+    entries = in_use.data.copy()
+    pn.solve_commodities(inst, rng.uniform(0.5, 2.0, size=inst.m))
+    assert np.array_equal(in_use.data, entries)
+    ctx.release(in_use)
+    pn.solve_commodities(inst, np.ones(inst.m))
+    assert np.array_equal(in_use.data, inst.A.data)
+
+
 def test_band_runs_the_grid_window_like_splu(factorization):
     # both factorizations pass the full-system residual check on every step
     spec = pn.DynamicsSpec(kind=pn.DynamicsKind.TWO_NORM, h=0.5, max_steps=30,
