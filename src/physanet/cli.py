@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -25,7 +26,67 @@ def _error_json(kind: str, message: str) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(_dumps(payload) + "\n")
+
+
+# ``json.dumps(..., indent=2, sort_keys=True)`` runs the pure-Python encoder,
+# which writes a grid's scenario.json slower than the scenario loads.  The C
+# encoder takes no indent, so containers of scalars are encoded by it with
+# separators holding a raw newline or carriage return, which the
+# ASCII-escaped output never holds elsewhere, and indented by replacing
+# them.  A list of such dicts (edges, demands) or a dict of such lists
+# (layout) is one call as well; every other shape recurses in Python.
+_SCALARS = (str, int, float, type(None))
+_PY_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+if json.encoder.c_make_encoder is not None:
+    _C_ENCODE = json.encoder.c_make_encoder(
+        None, _PY_ENCODER.default, json.encoder.encode_basestring_ascii, None,
+        ":\r", ",\n", True, False, True)
+else:  # a Python without the _json extension
+    _C_ENCODE = None
+
+
+def _all(values, kind) -> bool:
+    return all(map(isinstance, values, itertools.repeat(kind)))
+
+
+def _dumps(obj, level: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, indented to ``level``."""
+    pad, inner, deeper = "  " * level, "  " * (level + 1), "  " * (level + 2)
+    if _C_ENCODE is not None and obj and isinstance(obj, (list, tuple, dict)):
+        is_dict = isinstance(obj, dict)
+        items = obj.values() if is_dict else obj
+        if _all(items, _SCALARS):
+            text = "".join(_C_ENCODE(obj, 0))
+            body = text[1:-1].replace(":\r", ": ").replace(",\n", ",\n" + inner)
+            return text[0] + "\n" + inner + body + "\n" + pad + text[-1]
+        # Non-empty leaves: the text then shows a container inside one as a
+        # separator followed by "[" or "{".  Between the leaves, the separator
+        # follows the "]" or "}" that closes one, which no scalar ends with.
+        if is_dict and _all(items, (list, tuple)) and all(items):
+            text = "".join(_C_ENCODE(obj, 0))
+            if not any(mark in text for mark in (":\r[[", ":\r[{", ",\n[", ",\n{")):
+                body = text[1:-2].replace(",\n", ",\n" + deeper)
+                body = body.replace("],\n" + deeper, "\n" + inner + "],\n" + inner)
+                body = body.replace(":\r[", ": [\n" + deeper)
+                return "{\n" + inner + body + "\n" + inner + "]\n" + pad + "}"
+        elif not is_dict and _all(items, dict) and all(items):
+            text = "".join(_C_ENCODE(obj, 0))
+            if ":\r[" not in text and ":\r{" not in text:
+                body = text[2:-2].replace(",\n", ",\n" + deeper)
+                body = body.replace("},\n" + deeper + "{",
+                                    "\n" + inner + "},\n" + inner + "{\n" + deeper)
+                return ("[\n" + inner + "{\n" + deeper + body.replace(":\r", ": ")
+                        + "\n" + inner + "}\n" + pad + "]")
+    if isinstance(obj, dict) and obj and _all(obj, str):
+        entries = [json.encoder.encode_basestring_ascii(k) + ": " + _dumps(v, level + 1)
+                   for k, v in sorted(obj.items())]
+        return "{\n" + inner + (",\n" + inner).join(entries) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        entries = [_dumps(v, level + 1) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(entries) + "\n" + pad + "]"
+    # Scalars, empty containers and dicts with keys other than strings.
+    return "".join(_PY_ENCODER.iterencode(obj)).replace("\n", "\n" + pad)
 
 
 def _add_dynamics_flags(parser: argparse.ArgumentParser) -> None:
@@ -90,7 +151,7 @@ def _write_state(outdir: Path, scenario: Scenario, x, status: str, steps: int) -
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "scenario.json", scenario_document(scenario))
     _write_json(outdir / "final_state.json", {
-        "x": [float(v) for v in x], "status": status, "steps": steps,
+        "x": np.asarray(x, dtype=float).tolist(), "status": status, "steps": steps,
     })
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DivergenceError, ScenarioError, SolverError
 from .electrical import (FlowSolution, GroundingPlan, _single_threaded_blas,
-                         network_cost, solve_commodities)
+                         solve_commodities)
 from .model import CapacityState, Instance
 
 
@@ -267,6 +267,34 @@ def fixed_point_residual(instance: Instance, x: np.ndarray,
     return float(per_edge.max()) if per_edge.size else 0.0
 
 
+def _residual_and_rhs(c: np.ndarray, x: np.ndarray, norms: np.ndarray,
+                      spec: DynamicsSpec) -> tuple[float, np.ndarray]:
+    """``fixed_point_residual`` and ``rhs`` of a run's own state, bitwise.
+
+    ``x`` is the run's validated capacities and ``norms`` its
+    ``lambda_norms``; ``||Lambda_e|| - 1`` (or ``||Lambda_e||_2^2`` for the
+    beta kind) is formed once for both, and the costs multiply the smaller
+    term only: ``c min(a, b) = min(c a, c b)`` in floating point for
+    ``c > 0``, since rounding is monotone.
+    """
+    kind = spec.kind
+    if kind == DynamicsKind.BETA:
+        sq = norms ** 2
+        per_edge = np.minimum(x, np.abs(x ** (spec.beta - 1.0) * sq - 1.0))
+        xdot = x ** spec.beta * sq - x
+    else:
+        excess = norms - 1.0
+        per_edge = np.minimum(x, np.abs(excess))
+        if kind in (DynamicsKind.ONE_NORM, DynamicsKind.TWO_NORM):
+            xdot = x * excess
+        elif kind == DynamicsKind.GENERALIZED:
+            xdot = x * (spec.g(norms) - 1.0)
+        else:
+            xdot = 0.5 * c * x * (norms ** 2 - 1.0)
+    per_edge *= c
+    return (float(per_edge.max()) if per_edge.size else 0.0), xdot
+
+
 def run(instance: Instance, x0, spec: DynamicsSpec,
         diagnostics: DiagnosticsConfig | None = None, *,
         solve_tol: float = 1e-10,
@@ -297,9 +325,12 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
     x = np.maximum(x, spec.capacity_floor)
 
     traj = Trajectory(instance=instance, spec=spec)
+    c = instance.c
+    # |Q_ei| / ||b_i||_1 = x_e |drops_e . W_i / ||b_i||_1|, with the scaled W
+    # formed at the first record; a general matrix has no flow bound.
     b1 = np.abs(instance.B).sum(axis=0)
-    b1_safe = np.where(b1 > 0, b1, 1.0)
-    is_incidence = instance.is_incidence
+    flow_W = None
+    flow_bound = instance.is_incidence and instance.k > 0
 
     bound = None
     slack_accum = 0.0
@@ -316,14 +347,14 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
                 traj.steps = step
                 return traj
             energy = float(sol.energy_per_commodity.sum())
-            cost = network_cost(instance, x)
+            cost = float(c @ x)
             # Cost part of the kind-matched Lyapunov functional.
             cost_term = cost
             if spec.kind == DynamicsKind.BETA:
-                cost_term = float(instance.c @ x ** (2.0 - spec.beta)) / (2.0 - spec.beta)
+                cost_term = float(c @ x ** (2.0 - spec.beta)) / (2.0 - spec.beta)
             lyap = 0.5 * (cost_term + energy)
             norms = lambda_norms(sol, spec.kind)
-            residual = fixed_point_residual(instance, x, sol, spec, norms=norms)
+            residual, xdot = _residual_and_rhs(c, x, norms, spec)
             if bound is None:
                 bound = 2.0 * lyap
 
@@ -335,13 +366,14 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
                     from .analysis import certificate
                     gap = certificate(instance, x, sol).gap
                 ratio = float("nan")
-                if is_incidence and instance.k > 0:
-                    # |Q| / ||b||_1 formed in place here and dropped, not
-                    # cached on the kept solution
-                    flows = sol.drops @ sol.W
+                if flow_bound:
+                    if flow_W is None:
+                        flow_W = sol.W / np.where(b1 > 0, b1, 1.0)
+                    # formed in place here and dropped, not cached on the
+                    # kept solution
+                    flows = sol.drops @ flow_W
                     np.abs(flows, out=flows)
                     flows *= x[:, None]
-                    flows /= b1_safe
                     ratio = float(flows.max())
                 traj.records.append(TrajectoryRecord(
                     t=t, x=x.copy(), lyapunov=lyap, cost=cost, energy=energy,
@@ -359,9 +391,8 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
                 traj.final_solution = sol
                 return traj
 
-            xdot = rhs(instance, x, sol, spec, norms=norms)
             # Second-order Euler error allowance for the Lyapunov decrease.
-            curvature = float((instance.c / x).max()) if x.size else 0.0
+            curvature = float((c / x).max()) if x.size else 0.0
             slack_accum += 1e-10 * abs(lyap) + spec.h ** 2 * float(xdot @ xdot) * curvature
             x = euler_step(x, xdot, spec.h, spec.capacity_floor)
             step += 1

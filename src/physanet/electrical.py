@@ -47,6 +47,7 @@ from functools import cache, cached_property, partial
 import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
+import scipy.linalg.lapack
 import scipy.sparse as sp
 import scipy.sparse.csgraph
 import scipy.sparse.linalg as spla
@@ -69,7 +70,7 @@ DEFAULT_SOLVE_TOL = 1e-10
 MAX_BANDWIDTH = 160
 
 # Band systems at least this wide, with at least this many right-hand
-# sides, are solved by ``_BandBlocks``; the others by ``cho_solve_banded``.
+# sides, are solved by ``_BandBlocks``; the others by LAPACK ``pbtrs``.
 # The blocked solve pays per block in Python and per factor for its mask,
 # and gains on each column.  solve_commodities per call, one OpenBLAS
 # thread (ms, LAPACK/blocked, median of 7 x 40 calls), on generated grids
@@ -141,8 +142,10 @@ class FlowSolution:
         return np.einsum("es,es->e", self.drops, self.drops)
 
 
-def _demand_basis(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """Columns ``U`` and coefficients ``W`` with ``B = U W`` and ``W W^T = I``.
+def _demand_basis(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns ``U``, coefficients ``W`` with ``B = U W`` and ``W W^T = I``,
+    and the basis error ``_basis_error(U, W, B)``, read on the terminals'
+    rows (the zero rows add exact zeros to its sums).
 
     On incidence instances every terminal other than one reference per
     component gives the balanced column ``e_s - e_ref`` with coefficients
@@ -153,7 +156,7 @@ def _demand_basis(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
     level, so a rank-deficient demand set solves fewer columns.  The
     rotation rounds, so it is kept only when it reproduces every demand
     column to ``BASIS_TOL`` relative; otherwise ``U = B`` and ``W = I``,
-    which is exact.
+    which is exact, with a zero error.
     """
     B = instance.B
     k = B.shape[1]
@@ -170,14 +173,27 @@ def _demand_basis(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
             U[terminals[others], cols] = 1.0
             U[ref[comp[others]], cols] = -1.0
             W = B[terminals[others]]
-            if np.array_equal(U @ W, B):
+            # U and B are zero outside the terminals' rows.
+            B_t = B[terminals]
+            if np.array_equal(U[terminals] @ W, B_t):
                 V, sigma, Zt = np.linalg.svd(W, full_matrices=False)
                 rank = np.count_nonzero(
                     sigma > sigma.max(initial=0.0) * max(W.shape) * np.finfo(float).eps)
                 U, W = U @ (V[:, :rank] * sigma[:rank]), Zt[:rank]
-                if np.all(_basis_error(U, W, B) <= BASIS_TOL):
-                    return U, W
-    return np.array(B), np.eye(k)
+                error = _basis_error(U[terminals], W, B_t)
+                if np.all(error <= BASIS_TOL):
+                    return U, W, error
+    return np.array(B), np.eye(k), np.zeros(k)
+
+
+def _column_scale(M: np.ndarray) -> np.ndarray:
+    """Per column of ``M``, the power of two that brings its largest entry
+    into ``[0.5, 1)``, or 1 for every column when all of them lie in
+    ``[2^-128, 2^128)``; 1 for a zero column."""
+    top = np.abs(M).max(axis=0, initial=0.0)
+    if np.all((top == 0) | ((top >= 2.0 ** -128) & (top < 2.0 ** 128))):
+        return np.ones(M.shape[1])
+    return np.ldexp(1.0, -np.frexp(top)[1])
 
 
 def _basis_error(U: np.ndarray, W: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -196,18 +212,20 @@ class _GroundedSystem:
 
     The layout the solver factors is fixed when the system is built, from
     the pattern alone.  ``keep`` and ``rhs`` list the grounded nodes in
-    elimination order.
+    elimination order, and ``grounded`` the pinned ones.
 
     - Band (the default): incidence instances order the nodes by
       ``_band_order``, reverse Cuthill-McKee from a pseudo-peripheral
       level set, and each edge's lower-triangle entries get a fixed slot
       in LAPACK's lower band storage ``(b + 1, size)``, so assembly is one
-      ``bincount``.  A band of at least ``BLOCKED_SOLVE_MIN_BANDWIDTH``
-      with at least ``BLOCKED_SOLVE_MIN_COLUMNS`` right-hand sides is
-      padded to whole ``b x b`` blocks and solved by ``_BandBlocks``; the
-      others take ``cho_solve_banded``.  General matrices keep their node
-      order and take the full width, ``b = size - 1``, and
-      ``cho_solve_banded``.
+      sparse product with the conductances, a row per distinct slot.  A
+      band of at least ``BLOCKED_SOLVE_MIN_BANDWIDTH`` with at least
+      ``BLOCKED_SOLVE_MIN_COLUMNS`` right-hand sides is padded to whole
+      ``b x b`` blocks and solved by ``_BandBlocks``; the others by LAPACK
+      ``pbtrs``.  General matrices keep their node order and take the full
+      width, ``b = size - 1``, and ``pbtrs``.  The band is factored and
+      solved in a ``_BandWorkspace``, built once and then taken from and
+      handed back to the system's idle ones.
     - Sparse LU (``splu``): an incidence system whose half-bandwidth
       ``b`` exceeds ``MAX_BANDWIDTH`` is ordered by symmetric minimum
       degree instead and refilled into a fixed CSC pattern.
@@ -215,9 +233,13 @@ class _GroundedSystem:
 
     def __init__(self, instance: Instance, nodes: tuple[int, ...], U: np.ndarray):
         n, m = instance.n, instance.m
-        keep = np.setdiff1d(np.arange(n), np.array(nodes, dtype=np.intp))
+        self.grounded = np.array(nodes, dtype=np.intp)
+        keep = np.setdiff1d(np.arange(n), self.grounded)
         size = self.size = keep.size
-        self.splu, self.blocks, self.pad = False, None, np.zeros(0, dtype=np.intp)
+        self.columns = U.shape[1]
+        self.splu, self.blocked = False, False
+        self.pad = np.zeros(0, dtype=np.intp)
+        self._idle: list[_BandWorkspace] = []
         if not instance.is_incidence:
             self.A_keep = instance.A[keep]
             self.width = size  # b = size - 1
@@ -259,116 +281,163 @@ class _GroundedSystem:
         else:
             lower = r >= c
             self.width = bandwidth + 1
-            padded = size
-            if (bandwidth >= BLOCKED_SOLVE_MIN_BANDWIDTH
-                    and U.shape[1] >= BLOCKED_SOLVE_MIN_COLUMNS):
-                self.blocks = _BandBlocks(size, bandwidth)
-                padded = self.blocks.padded
+            self.blocked = (bandwidth >= BLOCKED_SOLVE_MIN_BANDWIDTH
+                            and self.columns >= BLOCKED_SOLVE_MIN_COLUMNS)
+            if self.blocked:
+                padded = _BandBlocks.padded_size(size, bandwidth)
                 self.pad = np.arange(size, padded) * self.width
-            self.slots = self.width * padded
-            self.slot = _band_slot(r[lower], c[lower], self.width)
-            self.edge, self.sign = edge[lower], sign[lower]
+            # Row i of ``assemble`` sums the entries of the i-th distinct
+            # slot in the order they are listed here, exactly as a bincount
+            # over the slots would, and its product with the conductances
+            # takes less time than that bincount.
+            self.slot, inverse = np.unique(
+                _band_slot(r[lower], c[lower], self.width), return_inverse=True)
+            by = np.argsort(inverse, kind="stable")
+            indptr = np.searchsorted(inverse[by], np.arange(self.slot.size + 1))
+            self.assemble = sp.csr_matrix((sign[lower][by], edge[lower][by], indptr),
+                                          shape=(self.slot.size, m))
         self.keep, self.rhs = keep[order], np.ascontiguousarray(U[keep[order]])
 
     def factor(self, w: np.ndarray):
-        """Factor the system at conductances ``w``; returns the solve for
-        right-hand sides in the order of ``keep``.
+        """Factor the system at conductances ``w``.
 
-        The matrix is symmetric positive definite: the band takes Cholesky,
-        and sparse LU takes the diagonal pivots in the fixed order, which
-        for such a matrix is as stable as Cholesky.  A blocked solve reads
-        buffers of the system, so it holds only until the next ``factor``.
+        Returns the factor, whose ``solve(R)`` takes right-hand sides in the
+        order of ``keep``; hand it back with ``release`` when its last solve
+        is used.  The matrix is symmetric positive definite: the band takes
+        Cholesky, and sparse LU takes the diagonal pivots in the fixed
+        order, which for such a matrix is as stable as Cholesky.
         """
-        if self.A_keep is None:
+        if self.splu:
             data = np.bincount(self.slot, weights=self.sign * w[self.edge],
                                minlength=self.slots)
-        else:
-            data = np.zeros(self.width * self.size)
-            data[self.slot] = ((self.A_keep * w) @ self.A_keep.T).ravel()[self.src]
-        if self.splu:
             Lr = sp.csc_matrix((data, self.indices, self.indptr),
                                shape=(self.size, self.size))
             try:
                 return spla.splu(Lr, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                                 options={"SymmetricMode": True}).solve
+                                 options={"SymmetricMode": True})
             except RuntimeError as exc:
                 raise SolverError(f"sparse factorization failed: {exc}") from exc
-        data[self.pad] = 1.0
         try:
-            cb = scipy.linalg.cholesky_banded(data.reshape(-1, self.width).T,
-                                              lower=True, overwrite_ab=True,
-                                              check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise SolverError(f"grounded Laplacian is not positive definite: {exc}") from exc
-        if self.blocks is not None:
-            return self.blocks.solver(cb)
+            space = self._idle.pop()
+        except IndexError:
+            space = (_BandBlocks(self.size, self.width - 1, self.columns) if self.blocked
+                     else _BandWorkspace(self.size, self.width, self.size))
+        flat = space.flat
+        flat.fill(0.0)
+        if self.A_keep is None:
+            flat[self.slot] = self.assemble @ w
+        else:
+            flat[self.slot] = ((self.A_keep * w) @ self.A_keep.T).ravel()[self.src]
+        flat[self.pad] = 1.0
+        info = scipy.linalg.lapack.dpbtrf(space.ab, 1, self.width, 1)[1]
+        if info:
+            self._idle.append(space)
+            raise SolverError(f"grounded Laplacian is not positive definite: "
+                              f"{info}-th leading minor not positive definite")
+        space.load()
+        return space
 
-        def solve(R):
-            return scipy.linalg.cho_solve_banded((cb, True), R, check_finite=False)
-        return solve
+    def release(self, factor) -> None:
+        """Hand back what ``factor`` returned; a band workspace becomes idle."""
+        if not self.splu:
+            self._idle.append(factor)
 
 
-class _BandBlocks:
-    """Level-3 solves on a band Cholesky factor of half-bandwidth ``b``.
+# LAPACK and BLAS routines of the band solves, called with positional
+# arguments: keywords cost about 0.8 us a call in the f2py wrappers.
+_pbtrs = scipy.linalg.lapack.dpbtrs
+_trsm, _gemm = scipy.linalg.blas.dtrsm, scipy.linalg.blas.dgemm
+
+
+class _BandWorkspace:
+    """Buffers of one band factor and its solves; a system keeps one for
+    each of its solves that runs at the same time.
+
+    ``ab`` is LAPACK's lower band storage ``(width, padded)`` in Fortran
+    order, ``flat`` the same memory as one vector with ``ab[i, j]`` at
+    ``j * width + i``.  The system fills ``flat`` and ``pbtrf`` overwrites
+    it with the factor, which ``pbtrs`` then reads column by column.
+    """
+
+    def __init__(self, size: int, width: int, padded: int):
+        self.size = size
+        self.flat = np.zeros(width * padded)
+        self.ab = self.flat.reshape(padded, width).T
+
+    def load(self) -> None:
+        """Read what the solves need from a new factor in ``ab``."""
+
+    def solve(self, R: np.ndarray) -> np.ndarray:
+        """``G`` with ``L L^T G = R``."""
+        return _pbtrs(self.ab, R, 1)[0]
+
+
+class _BandBlocks(_BandWorkspace):
+    """A band workspace solved by blocks with level-3 BLAS.
 
     Cut into ``b x b`` blocks (``q = max(b, 1)`` rows each), a band factor
-    is block bidiagonal: lower-triangular diagonal blocks ``D_K`` and
-    upper-triangular sub-diagonal blocks ``S_K``.  LAPACK's lower band
-    storage puts ``L[i, j]`` at flat offset ``j b + i``, so both families
-    are strided views of the factor with leading dimension ``b``; ``trsm``
-    reads only the lower triangle of ``D_K``, while the entries of ``S_K``
-    below its triangle belong to other columns and are masked off into
-    ``S``.  The band is padded to whole blocks, with a unit diagonal in
-    the padding, and ``L L^T G = R`` costs one ``dtrsm`` and one ``dgemm``
-    per block each way, on all columns at once, where LAPACK ``pbtrs``
+    of half-bandwidth ``b`` is block bidiagonal: lower-triangular diagonal
+    blocks ``D_K`` and upper-triangular sub-diagonal blocks ``S_K``.
+    LAPACK's lower band storage puts ``L[i, j]`` at flat offset
+    ``j b + i``, so both families are strided views of ``flat`` with
+    leading dimension ``b``, made once; ``trsm`` reads only the lower
+    triangle of ``D_K``, while the entries of ``S_K`` below its triangle
+    belong to other columns and are masked off into ``S`` by ``load``.
+    The band is padded to whole blocks, with a unit diagonal in the
+    padding, and ``L L^T G = R`` costs one ``dtrsm`` and one ``dgemm`` per
+    block each way, on all ``columns`` at once, where LAPACK ``pbtrs``
     takes the columns one by one.
     """
 
-    def __init__(self, size: int, b: int):
+    @staticmethod
+    def padded_size(size: int, b: int) -> int:
         q = max(b, 1)
-        self.b, self.q, self.size = b, q, size
-        self.count = -(-size // q)
-        self.padded = self.count * q
+        return -(-size // q) * q
+
+    def __init__(self, size: int, b: int, columns: int):
+        q = max(b, 1)
+        padded = self.padded_size(size, b)
+        super().__init__(size, b + 1, padded)
+        self.count = count = padded // q
+        below = max(count - 1, 0)
+        flat, step = self.flat, self.flat.itemsize
+        # D[K][r, c] = L[K q + r, K q + c]: Fortran order with leading dimension b.
+        self.D = list(np.lib.stride_tricks.as_strided(
+            flat, shape=(count, q, q), strides=(q * (b + 1) * step, step, b * step)))
         # S[K, c, r] = L[(K + 1) q + r, K q + c] lies in the band iff r - c <= b - q.
+        self.below = np.lib.stride_tricks.as_strided(
+            flat[q:], shape=(below, q, q), strides=(q * (b + 1) * step, b * step, step))
         col, row = np.indices((q, q))
         self.mask = row - col <= b - q
-        self.S = np.zeros((max(self.count - 1, 0), q, q))
+        self.S = np.zeros((below, q, q))
         # S[K].T is S_K in Fortran order.
         self.ST = [S_K.T for S_K in self.S]
+        # Z[K] is the block Y_K^T of the solve buffer Y, in Fortran order.
+        self.Y = np.empty((padded, columns))
+        self.Z = list(self.Y.reshape(count, q, columns).transpose(0, 2, 1))
 
-    def solver(self, cb: np.ndarray):
-        """The solve of ``L L^T G = R`` for the band factor ``cb``."""
-        b, q, count, size = self.b, self.q, self.count, self.size
-        flat = np.ravel(cb.T)
-        step = flat.itemsize
-        # D[K][r, c] = L[K q + r, K q + c]: Fortran order with leading dimension b.
-        D = list(np.lib.stride_tricks.as_strided(
-            flat, shape=(count, q, q), strides=(q * (b + 1) * step, step, b * step)))
-        if count > 1:
-            below = np.lib.stride_tricks.as_strided(
-                flat[q:], shape=(count - 1, q, q),
-                strides=(q * (b + 1) * step, b * step, step))
-            np.copyto(self.S, below, where=self.mask)
-        ST = self.ST
-        trsm, gemm = scipy.linalg.blas.dtrsm, scipy.linalg.blas.dgemm
+    def load(self) -> None:
+        np.copyto(self.S, self.below, where=self.mask)
 
-        def solve(R):
-            # Z[K] is the block G_K^T in Fortran order.  Forward:
-            # Y_K^T D_K^T = R_K^T - Y_{K-1}^T S_{K-1}^T, with Y = L^-1 R.
-            Y = np.empty((self.padded, R.shape[1]))
-            Y[:size], Y[size:] = R, 0.0
-            Z = list(Y.reshape(count, q, -1).transpose(0, 2, 1))
-            for K in range(count):
-                if K:
-                    gemm(-1.0, Z[K - 1], ST[K - 1], 1.0, Z[K], trans_b=1, overwrite_c=True)
-                trsm(1.0, D[K], Z[K], side=1, lower=1, trans_a=1, overwrite_b=True)
-            # Backward: G_K^T D_K = Y_K^T - G_{K+1}^T S_K.
-            for K in range(count - 1, -1, -1):
-                if K < count - 1:
-                    gemm(-1.0, Z[K + 1], ST[K], 1.0, Z[K], overwrite_c=True)
-                trsm(1.0, D[K], Z[K], side=1, lower=1, overwrite_b=True)
-            return Y[:size]
-        return solve
+    def solve(self, R: np.ndarray) -> np.ndarray:
+        """``G`` with ``L L^T G = R``, a view of the workspace valid until
+        its next solve."""
+        Y, Z, D, ST, count = self.Y, self.Z, self.D, self.ST, self.count
+        Y[:self.size], Y[self.size:] = R, 0.0
+        # Positional: trsm(alpha, A, B, side, lower, trans_a, diag, overwrite_b)
+        # and gemm(alpha, A, B, beta, C, trans_a, trans_b, overwrite_c).
+        trsm, gemm = _trsm, _gemm
+        # Forward: Y_K^T D_K^T = R_K^T - Y_{K-1}^T S_{K-1}^T, with Y = L^-1 R.
+        for K in range(count):
+            if K:
+                gemm(-1.0, Z[K - 1], ST[K - 1], 1.0, Z[K], 0, 1, 1)
+            trsm(1.0, D[K], Z[K], 1, 1, 1, 0, 1)
+        # Backward: G_K^T D_K = Y_K^T - G_{K+1}^T S_K.
+        for K in range(count - 1, -1, -1):
+            if K < count - 1:
+                gemm(-1.0, Z[K + 1], ST[K], 1.0, Z[K], 0, 0, 1)
+            trsm(1.0, D[K], Z[K], 1, 1, 0, 0, 1)
+        return Y[:self.size]
 
 
 def _band_order(pattern: sp.csr_matrix) -> np.ndarray:
@@ -472,17 +541,38 @@ class _Context:
             self.AT.data /= np.repeat(instance.c, np.diff(self.AT.indptr))
         else:
             self.AT = instance.A.T / instance.c[:, None]
-        self.U, self.W = _demand_basis(instance)
-        self.b_scale = np.maximum(np.linalg.norm(instance.B, axis=0), 1e-300)
-        self.basis_error = _basis_error(self.U, self.W, instance.B)
+        self.U, self.W, self.basis_error = _demand_basis(instance)
+        # Zero rows change no column norm or maximum of B or U.
+        B = instance.B[np.any(instance.B != 0, axis=1)]
+        # The residual check reads squared norms, which underflow for a
+        # demand of about 1e-150; columns of U (and so of the residual) and
+        # of B scaled by powers of two keep them in range and, being exact,
+        # change nothing for other demands.  Without a column out of range
+        # the scaling is skipped.
         # U is zero outside the terminals' rows.
         self.terminals = np.flatnonzero(np.any(self.U != 0, axis=1))
         self.U_terminals = self.U[self.terminals]
+        u_scale, b_scale = _column_scale(self.U_terminals), _column_scale(B)
+        if np.all(u_scale == 1.0) and np.all(b_scale == 1.0):
+            self.residual_scale, self.check_W = None, self.W
+        else:
+            self.residual_scale = u_scale
+            self.check_W = self.W * (b_scale / u_scale[:, None])
+        self.b_scale = np.maximum(np.linalg.norm(B * b_scale, axis=0), 1e-300)
         self.inner_target = INNER_TOL_FACTOR * np.maximum(
-            np.linalg.norm(self.U, axis=0), 1e-300)
+            np.linalg.norm(self.U_terminals * u_scale, axis=0), 1e-300)
+        self._targets: dict[float, np.ndarray] = {}
         self._systems: dict[tuple[int, ...], _GroundedSystem] = {}
         self._default_grounding: GroundingPlan | None = None
         self._idle_AX: list[sp.csr_matrix] = []
+
+    def refinement_target(self, solve_tol: float) -> np.ndarray:
+        """Squared column norms of a residual that ends refinement, in the
+        scale of the checked residual; computed once per tolerance."""
+        target = self._targets.get(solve_tol)
+        if target is None:
+            target = self._targets[solve_tol] = (self.inner_target * solve_tol) ** 2
+        return target
 
     def scaled_incidence(self, A: sp.csr_matrix, x: np.ndarray) -> sp.csr_matrix:
         """``A X`` of a graph: each entry of ``A`` times its column's capacity.
@@ -651,43 +741,50 @@ def solve_commodities(instance: Instance, x: np.ndarray,
         grounding = ctx.default_grounding(inst)
 
     W = ctx.W
-    G = np.zeros(ctx.U.shape)
     if inst.k == 0:
-        return FlowSolution(G=G, W=W, drops=np.zeros((inst.m, 0)), x=x,
-                            energy_per_commodity=np.zeros(0),
+        return FlowSolution(G=np.zeros(ctx.U.shape), W=W, drops=np.zeros((inst.m, 0)),
+                            x=x, energy_per_commodity=np.zeros(0),
                             residuals=np.zeros(0))
     if np.any(x < 0):
         raise ScenarioError("capacities must be nonnegative")
     w = x / inst.c
     system = ctx.system(inst, grounding)
-    solve = system.factor(w)
-    G[system.keep] = solve(system.rhs)
-
-    # Up to two rounds of iterative refinement guard against ill-conditioned
-    # states (capacities spread over many orders of magnitude near the floor).
-    # They refine against the residual R = L(x) G - U in incidence form,
-    # A X drops - U with drops = C^-1 A^T G, which keeps floor-level
-    # conductances that the assembled diagonal sums round away; its last
-    # value also serves the check below.  On a graph, A X scales each entry
-    # of A by its column's capacity, exactly on its +-1 entries, so the
-    # product needs no m x s temporary; U is subtracted on its nonzero rows
-    # only.  The diagonal of each round's Gram matrix R^T R holds the
-    # squared column norms the refinement reads.
+    factor = system.factor(w)
     AX = ctx.scaled_incidence(inst.A, x) if inst.is_incidence else None
-    target = (ctx.inner_target * solve_tol) ** 2
-    for rounds_left in (2, 1, 0):
-        drops = ctx.AT @ G
-        R = AX @ drops if AX is not None else inst.A @ (x[:, None] * drops)
-        R[ctx.terminals] -= ctx.U_terminals
-        gram = R.T @ R
-        if rounds_left == 0 or (gram.diagonal() <= target).all():
-            break
-        G[system.keep] -= solve(R[system.keep])
-    if AX is not None:
-        ctx.release(AX)
+    try:
+        G = np.empty(ctx.U.shape)
+        G[system.grounded] = 0.0
+        G[system.keep] = factor.solve(system.rhs)
+
+        # Up to two rounds of iterative refinement guard against
+        # ill-conditioned states (capacities spread over many orders of
+        # magnitude near the floor).  They refine against the residual
+        # R = L(x) G - U in incidence form, A X drops - U with
+        # drops = C^-1 A^T G, which keeps floor-level conductances that the
+        # assembled diagonal sums round away; its last value also serves the
+        # check below.  On a graph, A X scales each entry of A by its
+        # column's capacity, exactly on its +-1 entries, so the product needs
+        # no m x s temporary; U is subtracted on its nonzero rows only.  The
+        # diagonal of each round's Gram matrix R^T R, of R's columns scaled
+        # as ``_Context`` says, holds the squared column norms the refinement
+        # reads.
+        target, scale = ctx.refinement_target(solve_tol), ctx.residual_scale
+        for rounds_left in (2, 1, 0):
+            drops = ctx.AT @ G
+            R = AX @ drops if AX is not None else inst.A @ (x[:, None] * drops)
+            R[ctx.terminals] -= ctx.U_terminals
+            Rs = R if scale is None else R * scale
+            gram = Rs.T @ Rs
+            if rounds_left == 0 or (gram.diagonal() <= target).all():
+                break
+            G[system.keep] -= factor.solve(R[system.keep])
+    finally:
+        system.release(factor)
+        if AX is not None:
+            ctx.release(AX)
     # L(x) P - B = R W + (U W - B); the per-commodity norms of R W follow
     # from the Gram matrix, and the basis error bounds the second term.
-    residuals = (np.sqrt(np.maximum(_quadratic_forms(W, gram), 0.0)) / ctx.b_scale
+    residuals = (np.sqrt(np.maximum(_quadratic_forms(ctx.check_W, gram), 0.0)) / ctx.b_scale
                  + ctx.basis_error)
     if np.any(residuals > solve_tol):
         worst = int(np.argmax(residuals))

@@ -469,8 +469,8 @@ def scenario_document(scenario: Scenario) -> dict[str, Any]:
         doc["name"] = scenario.name
     if inst.is_incidence:
         doc["nodes"] = list(inst.node_ids)
-        doc["edges"] = [{"u": e.tail, "v": e.head, "cost": float(cost)}
-                        for e, cost in zip(inst.edge_meta, inst.c)]
+        doc["edges"] = [{"u": e.tail, "v": e.head, "cost": cost}
+                        for e, cost in zip(inst.edge_meta, inst.c.tolist())]
         doc["demands"] = _demands_of_B(inst)
     else:
         doc["A"] = inst.A.tolist()

@@ -3,11 +3,15 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import physanet as pn
+from physanet import cli
 from physanet.cli import main
 from physanet.render import to_dot, to_svg
 
@@ -245,8 +249,9 @@ def test_cli_run_first_solve_failure_writes_state(tmp_path, ring_path,
 def test_cli_run_divergence_writes_state(tmp_path, ring_path, monkeypatch, capsys):
     # a right-hand side that grows x diverges within a few steps; the run
     # still fails, but leaves the state at which the bound was crossed
-    monkeypatch.setattr(pn.dynamics, "rhs",
-                        lambda instance, x, solution, spec, **kw: np.asarray(x))
+    real = pn.dynamics._residual_and_rhs
+    monkeypatch.setattr(pn.dynamics, "_residual_and_rhs",
+                        lambda c, x, norms, spec: (real(c, x, norms, spec)[0], x.copy()))
     out = tmp_path / "run"
     assert run_cli("run", "--scenario", ring_path, "--out", out, "--h", "0.5",
                    "--max-steps", "10000", "--record-every", "2000") == 1
@@ -317,3 +322,29 @@ def test_cli_run_bowtie_l8_cost(tmp_path):
     report = json.loads((out / "report.json").read_text())
     # middle-edge regime: cost = 4 + 8 sqrt(2), i.e. about 15.3
     assert abs(report["final"]["cost"] - 15.3) <= 0.02 * 15.3
+
+
+# Strings that look like the writer's structure, or hold what JSON escapes.
+_TRICKY = st.sampled_from(['"', "\\", "},", "[{", '": [', "],\n", ":\r", "\n", "\r",
+                           "\u00e9t\u00e9", "\U0001f600", ""])
+_TEXT = st.one_of(_TRICKY, st.text(max_size=6))
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+                    st.floats(allow_nan=True, allow_infinity=True), st.just(-0.0), _TEXT)
+_DOCS = st.recursive(
+    _SCALAR,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(_TEXT, inner, max_size=4),
+        # the shapes of scenario.json's edges and layout
+        st.lists(st.dictionaries(_TEXT, _SCALAR, min_size=1, max_size=3), min_size=1, max_size=4),
+        st.dictionaries(_TEXT, st.lists(_SCALAR, min_size=1, max_size=3), min_size=1, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    expected = json.dumps(doc, indent=2, sort_keys=True)
+    assert cli._dumps(doc) == expected
+    with mock.patch.object(cli, "_C_ENCODE", None):  # without the C encoder
+        assert cli._dumps(doc) == expected

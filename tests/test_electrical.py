@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import gc
 import math
+import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -294,7 +296,7 @@ def _grid_with_hub():
 def _count_factor_calls(monkeypatch):
     """Calls of the two factorization entry points, looked up on their
     modules at each call."""
-    calls = {"cholesky_banded": 0, "splu": 0}
+    calls = {"dpbtrf": 0, "splu": 0}
 
     def count(module, name):
         original = getattr(module, name)
@@ -305,29 +307,29 @@ def _count_factor_calls(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(scipy.linalg, "cholesky_banded")
+    count(scipy.linalg.lapack, "dpbtrf")
     count(scipy.sparse.linalg, "splu")
     return calls
 
 
 def test_factor_entry_points(monkeypatch, ring):
     # grids, rings, paths of any length and general matrices all factor
-    # through scipy.linalg.cholesky_banded, once per solve
+    # through LAPACK's band Cholesky scipy.linalg.lapack.dpbtrf, once per solve
     calls = _count_factor_calls(monkeypatch)
     grid = pn.load_scenario(TOKYO).instance
     pn.solve_commodities(grid, np.ones(grid.m))
-    assert calls == {"cholesky_banded": 1, "splu": 0}
+    assert calls == {"dpbtrf": 1, "splu": 0}
     pn.solve_commodities(grid, np.ones(grid.m))
-    assert calls == {"cholesky_banded": 2, "splu": 0}
+    assert calls == {"dpbtrf": 2, "splu": 0}
     pn.solve_commodities(ring.instance, np.ones(3))
-    assert calls == {"cholesky_banded": 3, "splu": 0}
+    assert calls == {"dpbtrf": 3, "splu": 0}
     for n in (150, 151, 2_000):
         path = _path_graph(n)
         pn.solve_commodities(path, np.ones(path.m))
-    assert calls == {"cholesky_banded": 6, "splu": 0}
+    assert calls == {"dpbtrf": 6, "splu": 0}
     raw = pn.Instance(A=ring.instance.A.toarray(), c=np.ones(3), B=ring.instance.B)
     pn.solve_commodities(raw, np.ones(3))
-    assert calls == {"cholesky_banded": 7, "splu": 0}
+    assert calls == {"dpbtrf": 7, "splu": 0}
 
 
 def test_grid_is_ordered_once_from_a_peripheral_level_set(monkeypatch):
@@ -347,7 +349,7 @@ def test_grid_is_ordered_once_from_a_peripheral_level_set(monkeypatch):
     rng = np.random.default_rng(3)
     for solves in (1, 2, 3):
         pn.solve_commodities(grid, 10.0 ** rng.uniform(-9, 1, size=grid.m))
-        assert calls == {"cholesky_banded": solves, "splu": 0}
+        assert calls == {"dpbtrf": solves, "splu": 0}
     assert len(ordered) == 1
     (system,) = pn.electrical._context(grid)._systems.values()
     assert not system.splu and system.width - 1 <= 26
@@ -459,11 +461,14 @@ def test_blocked_band_solve_matches_lapack_and_dense(size, b):
     M = np.where(np.abs(rows - cols) <= b, rng.uniform(-1, 1, (size, size)), 0.0)
     M = M + M.T
     M += np.diag(np.abs(M).sum(axis=1) + 0.1)
-    blocks = pn.electrical._BandBlocks(size, b)
-    cb = scipy.linalg.cholesky_banded(_band_storage(M, b, blocks.padded), lower=True)
+    blocks = pn.electrical._BandBlocks(size, b, 5)
+    padded_size = blocks.ab.shape[1]
+    cb = scipy.linalg.cholesky_banded(_band_storage(M, b, padded_size), lower=True)
+    blocks.ab[...] = cb
+    blocks.load()
     R = rng.standard_normal((size, 5))
-    got = blocks.solver(cb)(R)
-    padded = np.zeros((blocks.padded, 5))
+    got = blocks.solve(R).copy()
+    padded = np.zeros((padded_size, 5))
     padded[:size] = R
     lapack = scipy.linalg.cho_solve_banded((cb, True), padded)[:size]
     dense = np.linalg.solve(M, R)
@@ -482,7 +487,7 @@ def _star(leaves):
 
 @pytest.mark.parametrize("shape", ["star", "components", "tokyo"])
 def test_blocked_solve_on_grounded_graphs(monkeypatch, shape):
-    # the blocked solve against cho_solve_banded on the same band and a
+    # the blocked solve against LAPACK pbtrs on the same band and a
     # dense solve: on a diagonal system (a star grounded at its centre),
     # several grounded components and the Tokyo grid (392 = 15 * 26 + 2
     # rows), at moderate capacities and at capacities spread over ten
@@ -504,7 +509,7 @@ def test_blocked_solve_on_grounded_graphs(monkeypatch, shape):
         inst = build()
         ctx = pn.electrical._context(inst)
         system = ctx.system(inst, ctx.default_grounding(inst))
-        assert (system.blocks is not None) == (kind == "blocked")
+        assert system.blocked == (kind == "blocked")
         paths[kind] = inst, system
     inst, system = paths["blocked"]
     assert np.array_equal(system.keep, paths["lapack"][1].keep)
@@ -515,7 +520,7 @@ def test_blocked_solve_on_grounded_graphs(monkeypatch, shape):
     rng = np.random.default_rng(4)
     for x in (rng.uniform(0.5, 2.0, size=inst.m), 10.0 ** rng.uniform(-9, 1, size=inst.m)):
         L = pn.assemble_laplacian(inst, x).toarray()[np.ix_(system.keep, system.keep)]
-        G = {kind: s.factor(x / inst.c)(s.rhs) for kind, (_, s) in paths.items()}
+        G = {kind: s.factor(x / inst.c).solve(s.rhs).copy() for kind, (_, s) in paths.items()}
         for got in G.values():
             backward = np.abs(L @ got - system.rhs).max() / (np.abs(L).max() * np.abs(got).max())
             assert backward <= 1e-14
@@ -539,7 +544,7 @@ def test_blocked_solve_starts_at_the_crossover(width):
     sol = pn.solve_commodities(inst, np.ones(inst.m))
     (system,) = pn.electrical._context(inst)._systems.values()
     assert system.width - 1 == width and sol.G.shape[1] >= pn.electrical.BLOCKED_SOLVE_MIN_COLUMNS
-    assert (system.blocks is not None) == (width >= pn.electrical.BLOCKED_SOLVE_MIN_BANDWIDTH)
+    assert system.blocked == (width >= pn.electrical.BLOCKED_SOLVE_MIN_BANDWIDTH)
     L = pn.assemble_laplacian(inst, np.ones(inst.m))
     residual = np.linalg.norm(L @ sol.P - inst.B, axis=0) / np.linalg.norm(inst.B, axis=0)
     assert residual.max() <= 1e-12
@@ -591,7 +596,7 @@ def test_demand_basis_is_orthonormal(seed):
     # makes the drop norms the row norms of the basis drops
     rng = np.random.default_rng(seed)
     inst = random_graph_instance(rng, n_max=6, k_min=7, k_max=10)
-    U, W = pn.electrical._demand_basis(inst)
+    U, W, _ = pn.electrical._demand_basis(inst)
     assert U.shape[1] == W.shape[0] == np.linalg.matrix_rank(inst.B) < inst.k
     assert np.abs(W @ W.T - np.eye(W.shape[0])).max() <= 1e-14
     assert np.abs(U @ W - inst.B).max() <= 1e-14 * np.linalg.norm(inst.B)
@@ -670,6 +675,86 @@ def test_solves_at_once_do_not_share_the_scaled_incidence():
     ctx.release(in_use)
     pn.solve_commodities(inst, np.ones(inst.m))
     assert np.array_equal(in_use.data, inst.A.data)
+
+
+@pytest.mark.parametrize("kind", ["band", "blocked"])
+def test_solves_at_once_do_not_share_a_band_workspace(factorization, kind):
+    # a solve takes its band workspace from the system's idle ones; one that
+    # is still in use (say, by a solve in another thread) is left alone,
+    # its factor and its last solve both
+    factorization(kind)
+    rng = np.random.default_rng(5)
+    inst = random_graph_instance(rng, n_max=12, k_max=4)
+    ctx = pn.electrical._context(inst)
+    system = ctx.system(inst, ctx.default_grounding(inst))
+    assert system.blocked == (kind == "blocked")
+    in_use = system.factor(rng.uniform(0.5, 2.0, size=inst.m) / inst.c)
+    solved = in_use.solve(system.rhs)
+    entries, values = in_use.flat.copy(), solved.copy()
+    pn.solve_commodities(inst, rng.uniform(0.5, 2.0, size=inst.m))
+    assert np.array_equal(in_use.flat, entries)
+    assert np.array_equal(solved, values)
+    system.release(in_use)
+    pn.solve_commodities(inst, np.ones(inst.m))
+    assert not np.array_equal(in_use.flat, entries)
+
+
+def test_solves_in_threads_match_serial_solves(factorization):
+    # more threads than cores solving one instance at once, switching every
+    # microsecond: a workspace or A X buffer shared by two solves would
+    # change some solution's bits
+    factorization("blocked")
+    rng = np.random.default_rng(9)
+    inst = random_graph_instance(rng, n_max=30, k_max=4)
+    states = [rng.uniform(0.5, 2.0, size=inst.m) for _ in range(6)]
+    serial = [pn.solve_commodities(inst, x).G for x in states]
+    results = [[] for _ in states]
+
+    def work(i):
+        for _ in range(40):
+            results[i].append(pn.solve_commodities(inst, states[i]).G)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(states))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for G, got in zip(serial, results):
+        assert len(got) == 40 and all(np.array_equal(g, G) for g in got)
+
+
+@pytest.mark.parametrize("kind", ["band", "blocked", "splu"])
+def test_a_second_solve_leaves_the_first_solution_alone(factorization, kind):
+    # the arrays a FlowSolution keeps are its own, not views of a workspace
+    factorization(kind)
+    rng = np.random.default_rng(6)
+    inst = random_graph_instance(rng, n_max=30, k_max=4)
+    first = pn.solve_commodities(inst, rng.uniform(0.5, 2.0, size=inst.m))
+    kept = {name: getattr(first, name).copy() for name in ("G", "drops", "residuals")}
+    pn.solve_commodities(inst, rng.uniform(0.5, 2.0, size=inst.m))
+    for name, value in kept.items():
+        assert np.array_equal(getattr(first, name), value), name
+
+
+@pytest.mark.parametrize("amount", [1e-150, 1e-170])
+def test_tiny_demand_has_a_meaningful_residual(amount):
+    # the squares of such a demand's residual underflow; the check scales
+    # them first, so it reads the residual a direct evaluation gives
+    demands = [pn.DemandSpec("a", "b", 1.0), pn.DemandSpec("c", "r", amount)]
+    inst = pn.graph_instance(_FIVE_NODES, _FIVE_EDGES, demands)
+    x = np.random.default_rng(2).uniform(0.5, 2.0, size=inst.m)
+    sol = pn.solve_commodities(inst, x)
+    top = np.abs(inst.B).max(axis=0)
+    R = (inst.A @ (x[:, None] * sol.Lambda) - inst.B) / top
+    explicit = np.linalg.norm(R, axis=0) / np.linalg.norm(inst.B / top, axis=0)
+    assert sol.residuals[1] > 0
+    assert np.allclose(sol.residuals, explicit, rtol=1e-12, atol=0)
 
 
 def test_band_runs_the_grid_window_like_splu(factorization):
