@@ -267,34 +267,6 @@ def fixed_point_residual(instance: Instance, x: np.ndarray,
     return float(per_edge.max()) if per_edge.size else 0.0
 
 
-def _residual_and_rhs(c: np.ndarray, x: np.ndarray, norms: np.ndarray,
-                      spec: DynamicsSpec) -> tuple[float, np.ndarray]:
-    """``fixed_point_residual`` and ``rhs`` of a run's own state, bitwise.
-
-    ``x`` is the run's validated capacities and ``norms`` its
-    ``lambda_norms``; ``||Lambda_e|| - 1`` (or ``||Lambda_e||_2^2`` for the
-    beta kind) is formed once for both, and the costs multiply the smaller
-    term only: ``c min(a, b) = min(c a, c b)`` in floating point for
-    ``c > 0``, since rounding is monotone.
-    """
-    kind = spec.kind
-    if kind == DynamicsKind.BETA:
-        sq = norms ** 2
-        per_edge = np.minimum(x, np.abs(x ** (spec.beta - 1.0) * sq - 1.0))
-        xdot = x ** spec.beta * sq - x
-    else:
-        excess = norms - 1.0
-        per_edge = np.minimum(x, np.abs(excess))
-        if kind in (DynamicsKind.ONE_NORM, DynamicsKind.TWO_NORM):
-            xdot = x * excess
-        elif kind == DynamicsKind.GENERALIZED:
-            xdot = x * (spec.g(norms) - 1.0)
-        else:
-            xdot = 0.5 * c * x * (norms ** 2 - 1.0)
-    per_edge *= c
-    return (float(per_edge.max()) if per_edge.size else 0.0), xdot
-
-
 def run(instance: Instance, x0, spec: DynamicsSpec,
         diagnostics: DiagnosticsConfig | None = None, *,
         solve_tol: float = 1e-10,
@@ -326,11 +298,9 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
 
     traj = Trajectory(instance=instance, spec=spec)
     c = instance.c
-    # |Q_ei| / ||b_i||_1 = x_e |drops_e . W_i / ||b_i||_1|, with the scaled W
-    # formed at the first record; a general matrix has no flow bound.
     b1 = np.abs(instance.B).sum(axis=0)
-    flow_W = None
-    flow_bound = instance.is_incidence and instance.k > 0
+    b1_safe = np.where(b1 > 0, b1, 1.0)
+    is_incidence = instance.is_incidence
 
     bound = None
     slack_accum = 0.0
@@ -354,7 +324,7 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
                 cost_term = float(c @ x ** (2.0 - spec.beta)) / (2.0 - spec.beta)
             lyap = 0.5 * (cost_term + energy)
             norms = lambda_norms(sol, spec.kind)
-            residual, xdot = _residual_and_rhs(c, x, norms, spec)
+            residual = fixed_point_residual(instance, x, sol, spec, norms=norms)
             if bound is None:
                 bound = 2.0 * lyap
 
@@ -366,14 +336,13 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
                     from .analysis import certificate
                     gap = certificate(instance, x, sol).gap
                 ratio = float("nan")
-                if flow_bound:
-                    if flow_W is None:
-                        flow_W = sol.W / np.where(b1 > 0, b1, 1.0)
-                    # formed in place here and dropped, not cached on the
-                    # kept solution
-                    flows = sol.drops @ flow_W
+                if is_incidence and instance.k > 0:
+                    # |Q| / ||b||_1 formed in place here and dropped, not
+                    # cached on the kept solution
+                    flows = sol.drops @ sol.W
                     np.abs(flows, out=flows)
                     flows *= x[:, None]
+                    flows /= b1_safe
                     ratio = float(flows.max())
                 traj.records.append(TrajectoryRecord(
                     t=t, x=x.copy(), lyapunov=lyap, cost=cost, energy=energy,
@@ -391,6 +360,7 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
                 traj.final_solution = sol
                 return traj
 
+            xdot = rhs(instance, x, sol, spec, norms=norms)
             # Second-order Euler error allowance for the Lyapunov decrease.
             curvature = float((c / x).max()) if x.size else 0.0
             slack_accum += 1e-10 * abs(lyap) + spec.h ** 2 * float(xdot @ xdot) * curvature

@@ -273,10 +273,8 @@ class _GroundedSystem:
                     + sp.identity(size, format="csc"))
             perm_c = spla.splu(unit, permc_spec="MMD_AT_PLUS_A",
                                options={"SymmetricMode": True}).perm_c.astype(np.intp)
-            self.slot, self.indices, self.indptr = _csc_pattern(
-                perm_c[rows], perm_c[cols], size)
-            self.slots = self.indices.size
-            self.edge, self.sign = edge, sign
+            slot, self.indices, self.indptr = _csc_pattern(perm_c[rows], perm_c[cols], size)
+            self.assemble = _slot_sums(slot, edge, sign, self.indices.size, m)
             order = np.argsort(perm_c)
         else:
             lower = r >= c
@@ -286,17 +284,15 @@ class _GroundedSystem:
             if self.blocked:
                 padded = _BandBlocks.padded_size(size, bandwidth)
                 self.pad = np.arange(size, padded) * self.width
-            # Row i of ``assemble`` sums the entries of the i-th distinct
-            # slot in the order they are listed here, exactly as a bincount
-            # over the slots would, and its product with the conductances
-            # takes less time than that bincount.
             self.slot, inverse = np.unique(
                 _band_slot(r[lower], c[lower], self.width), return_inverse=True)
-            by = np.argsort(inverse, kind="stable")
-            indptr = np.searchsorted(inverse[by], np.arange(self.slot.size + 1))
-            self.assemble = sp.csr_matrix((sign[lower][by], edge[lower][by], indptr),
-                                          shape=(self.slot.size, m))
+            self.assemble = _slot_sums(inverse, edge[lower], sign[lower], self.slot.size, m)
         self.keep, self.rhs = keep[order], np.ascontiguousarray(U[keep[order]])
+
+    def __getstate__(self) -> dict:
+        # A workspace's arrays are views of one buffer, which a copy or a
+        # pickle would detach from each other; a copy builds its own.
+        return {**self.__dict__, "_idle": []}
 
     def factor(self, w: np.ndarray):
         """Factor the system at conductances ``w``.
@@ -308,9 +304,7 @@ class _GroundedSystem:
         order, which for such a matrix is as stable as Cholesky.
         """
         if self.splu:
-            data = np.bincount(self.slot, weights=self.sign * w[self.edge],
-                               minlength=self.slots)
-            Lr = sp.csc_matrix((data, self.indices, self.indptr),
+            Lr = sp.csc_matrix((self.assemble @ w, self.indices, self.indptr),
                                shape=(self.size, self.size))
             try:
                 return spla.splu(Lr, permc_spec="NATURAL", diag_pivot_thresh=0.0,
@@ -517,6 +511,20 @@ def _band_slot(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
     """Flat slot of lower-triangle entries in Fortran-ordered lower band
     storage of ``width`` rows: ``ab[i - j, j] = a[i, j]``."""
     return cols * width + (rows - cols)
+
+
+def _slot_sums(slot: np.ndarray, edge: np.ndarray, sign: np.ndarray, slots: int,
+               m: int) -> sp.csr_matrix:
+    """The matrix whose product with the conductances ``w`` sums
+    ``sign * w[edge]`` into each of ``slots`` slots.
+
+    Row ``i`` lists the entries of slot ``i`` in the order given here, so
+    the product adds them exactly as a bincount over the slots would, and
+    it takes less time than that bincount.
+    """
+    by = np.argsort(slot, kind="stable")
+    indptr = np.searchsorted(slot[by], np.arange(slots + 1))
+    return sp.csr_matrix((sign[by], edge[by], indptr), shape=(slots, m))
 
 
 def _csc_pattern(rows: np.ndarray, cols: np.ndarray, size: int):

@@ -249,9 +249,8 @@ def test_cli_run_first_solve_failure_writes_state(tmp_path, ring_path,
 def test_cli_run_divergence_writes_state(tmp_path, ring_path, monkeypatch, capsys):
     # a right-hand side that grows x diverges within a few steps; the run
     # still fails, but leaves the state at which the bound was crossed
-    real = pn.dynamics._residual_and_rhs
-    monkeypatch.setattr(pn.dynamics, "_residual_and_rhs",
-                        lambda c, x, norms, spec: (real(c, x, norms, spec)[0], x.copy()))
+    monkeypatch.setattr(pn.dynamics, "rhs",
+                        lambda instance, x, solution, spec, **kw: np.asarray(x))
     out = tmp_path / "run"
     assert run_cli("run", "--scenario", ring_path, "--out", out, "--h", "0.5",
                    "--max-steps", "10000", "--record-every", "2000") == 1

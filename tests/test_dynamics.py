@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import physanet as pn
 from physanet.dynamics import DynamicsKind, GFunction
@@ -246,21 +244,13 @@ def test_trajectory_csv_bytes_match_per_value_format(ring, tmp_path, record_gap)
         assert line == ",".join(f"{v:.12g}" for v in [*vals, *r.x])
 
 
-def _grow_capacities(monkeypatch):
-    """Make ``run``'s right-hand side ``xdot = x``; the residual stays the
-    true one."""
-    real = pn.dynamics._residual_and_rhs
-
-    def growing(c, x, norms, spec):
-        return real(c, x, norms, spec)[0], x.copy()
-
-    monkeypatch.setattr(pn.dynamics, "_residual_and_rhs", growing)
-
-
 def test_divergence_caught_at_the_step_it_happens(ring, monkeypatch):
     # a right-hand side that grows x leaves the bounded domain within a few
     # steps; the check must not wait for the next record point
-    _grow_capacities(monkeypatch)
+    def growing(instance, x, solution, spec, **kwargs):
+        return np.asarray(x, dtype=float)
+
+    monkeypatch.setattr(pn.dynamics, "rhs", growing)
     spec = pn.DynamicsSpec(kind=K.TWO_NORM, h=0.5, max_steps=10_000)
     with pytest.raises(DivergenceError, match=r"^step (\d+):") as err:
         pn.run(ring.instance, np.ones(3), spec,
@@ -287,21 +277,6 @@ def test_run_computes_edge_norms_once_per_step(ring, monkeypatch):
                       pn.DiagnosticsConfig(record_every=100))
         assert traj.steps == 40
         assert calls == [kind] * 41
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), spec=st.sampled_from(specs_for_all_kinds()))
-def test_fused_residual_and_rhs_equal_the_public_ones(seed, spec):
-    # run forms the fixed-point residual and the right-hand side together;
-    # they must be exactly what fixed_point_residual and rhs return
-    rng = np.random.default_rng(seed)
-    inst = random_graph_instance(rng, k_max=4)
-    x = 10.0 ** rng.uniform(-4, 1, size=inst.m)
-    sol = pn.solve_commodities(inst, x)
-    norms = pn.dynamics.lambda_norms(sol, spec.kind)
-    residual, xdot = pn.dynamics._residual_and_rhs(inst.c, x, norms, spec)
-    assert residual == pn.fixed_point_residual(inst, x, sol, spec)
-    assert (xdot == pn.rhs(inst, x, sol, spec)).all()
 
 
 def _blas_thread_counts(controls) -> list[int]:
@@ -347,7 +322,8 @@ def test_run_solves_with_one_blas_thread_and_restores(ring, monkeypatch,
 def test_run_restores_blas_threads_after_divergence(ring, monkeypatch,
                                                     blas_two_threads):
     seen = _record_blas_at_factor(monkeypatch, blas_two_threads)
-    _grow_capacities(monkeypatch)
+    monkeypatch.setattr(pn.dynamics, "rhs",
+                        lambda instance, x, solution, spec, **kw: np.asarray(x))
     spec = pn.DynamicsSpec(kind=K.TWO_NORM, h=0.5, max_steps=10_000)
     with pytest.raises(DivergenceError):
         pn.run(ring.instance, np.ones(3), spec)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import gc
 import math
+import pickle
 import sys
 import threading
 import weakref
@@ -740,6 +742,26 @@ def test_a_second_solve_leaves_the_first_solution_alone(factorization, kind):
     pn.solve_commodities(inst, rng.uniform(0.5, 2.0, size=inst.m))
     for name, value in kept.items():
         assert np.array_equal(getattr(first, name), value), name
+
+
+@pytest.mark.parametrize("copy_instance", [copy.deepcopy,
+                                           lambda inst: pickle.loads(pickle.dumps(inst))],
+                         ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("kind", ["band", "blocked", "splu"])
+def test_a_copied_solved_instance_solves_like_the_original(factorization, kind,
+                                                            copy_instance):
+    # a copy carries the solve context but builds its own band workspaces,
+    # whose arrays share one buffer
+    factorization(kind)
+    rng = np.random.default_rng(7)
+    inst = random_graph_instance(rng, n_max=30, k_max=4)
+    x = rng.uniform(0.5, 2.0, size=inst.m)
+    expected = pn.solve_commodities(inst, x)
+    twin = copy_instance(inst)
+    for _ in range(2):
+        got = pn.solve_commodities(twin, x)
+        assert np.array_equal(got.G, expected.G)
+        assert np.array_equal(got.residuals, expected.residuals)
 
 
 @pytest.mark.parametrize("amount", [1e-150, 1e-170])
