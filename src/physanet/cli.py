@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -14,7 +12,7 @@ import numpy as np
 
 from . import analysis, dynamics, electrical, render, scenarios
 from .errors import DivergenceError, PhysanetError, ScenarioError, SolverError
-from .model import Scenario, load_scenario, scenario_document
+from .model import Scenario, load_scenario, read_scenario_file, scenario_document
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -26,67 +24,14 @@ def _error_json(kind: str, message: str) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(_dumps(payload) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-# ``json.dumps(..., indent=2, sort_keys=True)`` runs the pure-Python encoder,
-# which writes a grid's scenario.json slower than the scenario loads.  The C
-# encoder takes no indent, so containers of scalars are encoded by it with
-# separators holding a raw newline or carriage return, which the
-# ASCII-escaped output never holds elsewhere, and indented by replacing
-# them.  A list of such dicts (edges, demands) or a dict of such lists
-# (layout) is one call as well; every other shape recurses in Python.
-_SCALARS = (str, int, float, type(None))
-_PY_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
-if json.encoder.c_make_encoder is not None:
-    _C_ENCODE = json.encoder.c_make_encoder(
-        None, _PY_ENCODER.default, json.encoder.encode_basestring_ascii, None,
-        ":\r", ",\n", True, False, True)
-else:  # a Python without the _json extension
-    _C_ENCODE = None
-
-
-def _all(values, kind) -> bool:
-    return all(map(isinstance, values, itertools.repeat(kind)))
-
-
-def _dumps(obj, level: int = 0) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, indented to ``level``."""
-    pad, inner, deeper = "  " * level, "  " * (level + 1), "  " * (level + 2)
-    if _C_ENCODE is not None and obj and isinstance(obj, (list, tuple, dict)):
-        is_dict = isinstance(obj, dict)
-        items = obj.values() if is_dict else obj
-        if _all(items, _SCALARS):
-            text = "".join(_C_ENCODE(obj, 0))
-            body = text[1:-1].replace(":\r", ": ").replace(",\n", ",\n" + inner)
-            return text[0] + "\n" + inner + body + "\n" + pad + text[-1]
-        # Non-empty leaves: the text then shows a container inside one as a
-        # separator followed by "[" or "{".  Between the leaves, the separator
-        # follows the "]" or "}" that closes one, which no scalar ends with.
-        if is_dict and _all(items, (list, tuple)) and all(items):
-            text = "".join(_C_ENCODE(obj, 0))
-            if not any(mark in text for mark in (":\r[[", ":\r[{", ",\n[", ",\n{")):
-                body = text[1:-2].replace(",\n", ",\n" + deeper)
-                body = body.replace("],\n" + deeper, "\n" + inner + "],\n" + inner)
-                body = body.replace(":\r[", ": [\n" + deeper)
-                return "{\n" + inner + body + "\n" + inner + "]\n" + pad + "}"
-        elif not is_dict and _all(items, dict) and all(items):
-            text = "".join(_C_ENCODE(obj, 0))
-            if ":\r[" not in text and ":\r{" not in text:
-                body = text[2:-2].replace(",\n", ",\n" + deeper)
-                body = body.replace("},\n" + deeper + "{",
-                                    "\n" + inner + "},\n" + inner + "{\n" + deeper)
-                return ("[\n" + inner + "{\n" + deeper + body.replace(":\r", ": ")
-                        + "\n" + inner + "}\n" + pad + "]")
-    if isinstance(obj, dict) and obj and _all(obj, str):
-        entries = [json.encoder.encode_basestring_ascii(k) + ": " + _dumps(v, level + 1)
-                   for k, v in sorted(obj.items())]
-        return "{\n" + inner + (",\n" + inner).join(entries) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        entries = [_dumps(v, level + 1) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(entries) + "\n" + pad + "]"
-    # Scalars, empty containers and dicts with keys other than strings.
-    return "".join(_PY_ENCODER.iterencode(obj)).replace("\n", "\n" + pad)
+def _number(flag: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ScenarioError(f"{flag} takes numbers, not {text!r}") from None
 
 
 def _add_dynamics_flags(parser: argparse.ArgumentParser) -> None:
@@ -145,25 +90,30 @@ def _run_dynamics(scenario: Scenario, args, record_gap: bool = False):
                             solve_tol=args.solve_tol)
 
 
-def _write_state(outdir: Path, scenario: Scenario, x, status: str, steps: int) -> None:
-    """``scenario.json`` and ``final_state.json``: what ``certify`` and
-    ``export`` read back from a run directory."""
+def _write_state(outdir: Path, source: bytes, x, status: str, steps: int) -> None:
+    """``scenario.json`` (the input's bytes) and ``final_state.json``: what
+    ``certify`` and ``export`` read back from a run directory."""
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "scenario.json", scenario_document(scenario))
+    (outdir / "scenario.json").write_bytes(source)
     _write_json(outdir / "final_state.json", {
         "x": np.asarray(x, dtype=float).tolist(), "status": status, "steps": steps,
     })
 
 
-def _run_to_outputs(scenario: Scenario, args, outdir: Path) -> int:
+def _cmd_run(args) -> int:
+    # One read: a FIFO or /dev/stdin gives its bytes once, and --out may be
+    # the directory that holds the input.
+    source = read_scenario_file(args.scenario)
+    scenario = load_scenario(source)
+    outdir = Path(args.out)
     try:
         x0, traj = _run_dynamics(scenario, args, record_gap=args.record_gap)
     except DivergenceError as exc:
         # The state where the bound was crossed; the error still fails the run.
-        _write_state(outdir, scenario, exc.x, "diverged", exc.step)
+        _write_state(outdir, source, exc.x, "diverged", exc.step)
         raise
     # A failed first solve leaves no record; the state is then x0.
-    _write_state(outdir, scenario, traj.final_x if traj.records else x0,
+    _write_state(outdir, source, traj.final_x if traj.records else x0,
                  traj.status.value, traj.steps)
     traj.write_csv(outdir / "trajectory.csv")
     if traj.status == dynamics.TerminalStatus.SOLVER_FAILURE:
@@ -198,13 +148,8 @@ def _run_to_outputs(scenario: Scenario, args, outdir: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_run(args) -> int:
-    scenario = load_scenario(Path(args.scenario))
-    return _run_to_outputs(scenario, args, Path(args.out))
-
-
 def _cmd_sweep(args) -> int:
-    values = [float(v) for v in args.values.split(",") if v]
+    values = [_number("--values", v) for v in args.values.split(",") if v]
     if not values:
         raise ScenarioError("--values must list at least one L value")
     outdir = Path(args.out)
@@ -285,8 +230,7 @@ def _cmd_gen_scenario(args) -> int:
     if args.kind == "ring":
         scenario = scenarios.ring_scenario()
     elif args.kind == "bowtie":
-        L = math.inf if args.L.lower() in ("inf", "infinity") else float(args.L)
-        scenario = scenarios.bowtie_scenario(L)
+        scenario = scenarios.bowtie_scenario(_number("--L", args.L))
     elif args.kind == "grid":
         if args.polygon:
             poly = json.loads(Path(args.polygon).read_text())
@@ -301,10 +245,9 @@ def _cmd_gen_scenario(args) -> int:
                                            name="grid-synthetic")
     else:
         raise ScenarioError(f"unknown scenario kind {args.kind!r}")
-    doc = scenario_document(scenario)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, doc)
+    _write_json(out, scenario_document(scenario))
     print(str(out))
     return EXIT_OK
 

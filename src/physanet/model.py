@@ -375,8 +375,9 @@ def _require(condition: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
-def load_scenario(document: Mapping[str, Any] | str | Path) -> Scenario:
-    """Parse and validate a scenario document (mapping, JSON text, or path)."""
+def load_scenario(document: Mapping[str, Any] | bytes | str | Path) -> Scenario:
+    """Parse and validate a scenario document (mapping, JSON text or bytes,
+    or path)."""
     doc = _coerce_document(document)
     if "nodes" in doc and "A" in doc:
         raise ScenarioError("scenario mixes graph and matrix variants")
@@ -387,24 +388,30 @@ def load_scenario(document: Mapping[str, Any] | str | Path) -> Scenario:
     raise ScenarioError("scenario must contain either 'nodes' or 'A'")
 
 
-def load_instance(document: Mapping[str, Any] | str | Path) -> Instance:
+def load_instance(document: Mapping[str, Any] | bytes | str | Path) -> Instance:
     """Load just the validated instance from a scenario document."""
     return load_scenario(document).instance
 
 
-def _coerce_document(document: Mapping[str, Any] | str | Path) -> Mapping[str, Any]:
+def read_scenario_file(path: str | Path) -> bytes:
+    """The bytes of a scenario file, for ``load_scenario``."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+
+
+def _coerce_document(document: Mapping[str, Any] | bytes | str | Path) -> Mapping[str, Any]:
     if isinstance(document, Mapping):
         return document
-    if isinstance(document, str) and document.lstrip().startswith("{"):
+    if isinstance(document, bytes) or (isinstance(document, str)
+                                       and document.lstrip().startswith("{")):
         text = document
     else:
-        try:
-            text = Path(document).read_text()
-        except OSError as exc:
-            raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+        text = read_scenario_file(document)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(doc, Mapping):
         raise ScenarioError("scenario document must be a JSON object")

@@ -2,16 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import physanet as pn
-from physanet import cli
 from physanet.cli import main
 from physanet.render import to_dot, to_svg
 
@@ -80,15 +78,91 @@ def test_cli_run_ring_report(tmp_path, ring_path):
     assert len(state["x"]) == 3
 
 
+def _files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
 def test_cli_run_deterministic_repeat(tmp_path, ring_path):
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
         assert run_cli("run", "--scenario", ring_path, "--out", out,
                        "--h", "0.05", "--seed", "9",
-                       "--record-every", "100") == 0
-        outs.append((out / "report.json").read_bytes())
+                       "--record-every", "100", "--dot", "--svg") == 0
+        outs.append(_files(out))
+    assert sorted(outs[0]) == ["final_state.json", "network.dot", "network.svg",
+                               "report.json", "scenario.json", "trajectory.csv"]
     assert outs[0] == outs[1]
+
+
+def _compact_without_initial_capacity(path: Path) -> bytes:
+    doc = json.loads(path.read_text())
+    del doc["initial_capacity"]
+    return json.dumps(doc, separators=(",", ":")).encode()
+
+
+def test_cli_run_dir_keeps_a_compact_input(tmp_path, ring_path, capsys):
+    # scenario.json is the input verbatim, also where it is not the canonical
+    # form, and certify and export read the run back from it
+    source = tmp_path / "compact.json"
+    source.write_bytes(_compact_without_initial_capacity(ring_path))
+    canonical = tmp_path / "canonical.json"
+    canonical.write_text(json.dumps(pn.scenario_document(pn.load_scenario(source))))
+    flags = ("--h", "0.05", "--seed", "4", "--record-every", "100")
+    out, ref = tmp_path / "run", tmp_path / "ref"
+    assert run_cli("run", "--scenario", source, "--out", out, *flags) == 0
+    assert run_cli("run", "--scenario", canonical, "--out", ref, *flags) == 0
+    assert (out / "scenario.json").read_bytes() == source.read_bytes()
+    assert (out / "report.json").read_bytes() == (ref / "report.json").read_bytes()
+    capsys.readouterr()
+    payloads = []
+    for run_dir in (out, ref):
+        assert run_cli("certify", "--run-dir", run_dir) == 0
+        payloads.append(capsys.readouterr().out)
+    assert payloads[0] == payloads[1]
+    assert run_cli("export", "--run-dir", out, "--format", "dot") == 0
+    state = json.loads((out / "final_state.json").read_text())
+    expected = to_dot(pn.load_scenario(source).instance, np.array(state["x"]))
+    assert (out / "network.dot").read_text() == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_cli_run_reads_a_fifo_once(tmp_path, ring_path):
+    fifo, data = tmp_path / "scenario.fifo", ring_path.read_bytes()
+    os.mkfifo(fifo)
+    done = threading.Event()
+
+    def feed():
+        fifo.write_bytes(data)
+        # A second open for reading would block for a writer: give it an
+        # empty file instead, so that the run fails rather than hangs.
+        while not done.wait(0.01):
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader waiting
+                pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        code = run_cli("run", "--scenario", fifo, "--out", tmp_path / "run",
+                       "--h", "0.05", "--seed", "9", "--record-every", "100")
+    finally:
+        done.set()
+        writer.join(timeout=10)
+    assert code == 0 and not writer.is_alive()
+    assert (tmp_path / "run" / "scenario.json").read_bytes() == data
+
+
+def test_cli_run_out_may_hold_the_input(tmp_path, ring_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    data = _compact_without_initial_capacity(ring_path)
+    (out / "scenario.json").write_bytes(data)
+    assert run_cli("run", "--scenario", out / "scenario.json", "--out", out,
+                   "--h", "0.05", "--seed", "9", "--record-every", "100") == 0
+    assert (out / "scenario.json").read_bytes() == data
+    assert (out / "report.json").exists()
 
 
 def test_cli_run_missing_scenario_is_config_error(tmp_path, capsys):
@@ -97,6 +171,23 @@ def test_cli_run_missing_scenario_is_config_error(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["kind"] == "config"
+
+
+@pytest.mark.parametrize("data, message", [
+    (None, "cannot read scenario file: "),
+    (b'{"nodes": [', "scenario is not valid JSON: Expecting value: line 1 column 12"),
+    (b"\xff\xfe{", "scenario is not valid JSON: 'utf-16-le' codec can't decode"),
+    (b"[1, 2]", "scenario document must be a JSON object"),
+], ids=["directory", "truncated", "undecodable", "not-an-object"])
+def test_cli_run_unreadable_scenario_is_config_error(tmp_path, capsys, data, message):
+    path = tmp_path / "scenario.json"
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    assert run_cli("run", "--scenario", path, "--out", tmp_path / "o") == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["kind"] == "config" and err["error"].startswith(message)
 
 
 def _malformed(path: tuple, value) -> dict:
@@ -231,6 +322,17 @@ def test_cli_sweep_bad_dynamics_flags_are_config_errors(tmp_path, capsys):
     assert not (tmp_path / "sweep" / "sweep_summary.csv").exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("sweep", "--values", "8,abc"), "--values"),
+    (("gen-scenario", "--kind", "bowtie", "--L", "abc"), "--L"),
+], ids=["sweep-values", "gen-scenario-L"])
+def test_cli_bad_number_flags_are_config_errors(tmp_path, capsys, argv, flag):
+    assert run_cli(*argv, "--out", tmp_path / "out") == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": f"{flag} takes numbers, not 'abc'", "kind": "config"}
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_first_solve_failure_writes_state(tmp_path, ring_path,
                                                   monkeypatch, capsys):
     calls, trajs, _ = _count_solves(monkeypatch)
@@ -323,27 +425,13 @@ def test_cli_run_bowtie_l8_cost(tmp_path):
     assert abs(report["final"]["cost"] - 15.3) <= 0.02 * 15.3
 
 
-# Strings that look like the writer's structure, or hold what JSON escapes.
-_TRICKY = st.sampled_from(['"', "\\", "},", "[{", '": [', "],\n", ":\r", "\n", "\r",
-                           "\u00e9t\u00e9", "\U0001f600", ""])
-_TEXT = st.one_of(_TRICKY, st.text(max_size=6))
-_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
-                    st.floats(allow_nan=True, allow_infinity=True), st.just(-0.0), _TEXT)
-_DOCS = st.recursive(
-    _SCALAR,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.dictionaries(_TEXT, inner, max_size=4),
-        # the shapes of scenario.json's edges and layout
-        st.lists(st.dictionaries(_TEXT, _SCALAR, min_size=1, max_size=3), min_size=1, max_size=4),
-        st.dictionaries(_TEXT, st.lists(_SCALAR, min_size=1, max_size=3), min_size=1, max_size=4)),
-    max_leaves=40)
-
-
-@settings(max_examples=300, deadline=None)
-@given(doc=_DOCS)
-def test_json_writer_matches_json_dumps(doc):
-    expected = json.dumps(doc, indent=2, sort_keys=True)
-    assert cli._dumps(doc) == expected
-    with mock.patch.object(cli, "_C_ENCODE", None):  # without the C encoder
-        assert cli._dumps(doc) == expected
+@pytest.mark.parametrize("reference, flags", [
+    ("ring.json", ("--kind", "ring")),
+    ("bowtie_L8.json", ("--kind", "bowtie", "--L", "8")),
+    ("tokyo_like_synthetic.json", ("--kind", "grid", "--seed", "7")),
+], ids=["ring", "bowtie-L8", "grid-seed7"])
+def test_cli_gen_scenario_reproduces_checked_in_files(tmp_path, reference, flags):
+    out = tmp_path / reference
+    assert run_cli("gen-scenario", *flags, "--out", out) == 0
+    scenarios_dir = Path(__file__).resolve().parents[1] / "scenarios"
+    assert out.read_bytes() == (scenarios_dir / reference).read_bytes()
