@@ -292,8 +292,8 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
         x = np.asarray(x0, dtype=float).copy()
     if x.shape != (instance.m,):
         raise ScenarioError(f"x0 must have length {instance.m}")
-    if np.any(x <= 0):
-        raise ScenarioError("x0 must be strictly positive")
+    if not np.all((x > 0) & (x < np.inf)):
+        raise ScenarioError("x0 must be strictly positive and finite")
     x = np.maximum(x, spec.capacity_floor)
 
     traj = Trajectory(instance=instance, spec=spec)

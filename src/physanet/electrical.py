@@ -794,7 +794,7 @@ def solve_commodities(instance: Instance, x: np.ndarray,
     # from the Gram matrix, and the basis error bounds the second term.
     residuals = (np.sqrt(np.maximum(_quadratic_forms(ctx.check_W, gram), 0.0)) / ctx.b_scale
                  + ctx.basis_error)
-    if np.any(residuals > solve_tol):
+    if not np.all(residuals <= solve_tol):  # a NaN residual fails too
         worst = int(np.argmax(residuals))
         raise SolverError(
             f"linear solve did not converge (commodity {worst}, "

@@ -15,8 +15,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -177,23 +178,25 @@ def _node_index(nodes: Sequence[str]) -> dict[str, int]:
 
 def _lookup(index: Mapping[str, int], names: list[str], what: str) -> np.ndarray:
     try:
-        return np.array([index[v] for v in names], dtype=np.intp)
+        return np.fromiter(map(index.__getitem__, names), dtype=np.intp, count=len(names))
     except KeyError as exc:
         raise ScenarioError(f"{what} references unknown node {exc.args[0]!r}") from None
+    except TypeError:
+        j = next(j for j, v in enumerate(names) if not isinstance(v, Hashable))
+        raise ScenarioError(f"{what} {j} names a node that is not a string: {names[j]!r}")
 
 
-def _incidence_csr(index: Mapping[str, int], edges) -> sp.csr_matrix:
-    """Incidence CSR of ``(tail, head, ...)`` edges over the node ``index``."""
-    tails = _lookup(index, [e[0] for e in edges], "edge")
-    heads = _lookup(index, [e[1] for e in edges], "edge")
+def _incidence_csr(index: Mapping[str, int], us: list, vs: list) -> sp.csr_matrix:
+    """Incidence CSR of the edges ``us[j] -> vs[j]`` over the node ``index``."""
+    tails, heads = _lookup(index, us, "edge"), _lookup(index, vs, "edge")
     loops = np.flatnonzero(tails == heads)
     if loops.size:
-        raise ScenarioError(f"self-loop on node {edges[loops[0]][0]!r} not allowed")
+        raise ScenarioError(f"self-loop on node {us[loops[0]]!r} not allowed")
+    # Column j holds +1 at its tail and -1 at its head.
     m = tails.size
-    rows = np.concatenate([tails, heads])
-    cols = np.concatenate([np.arange(m), np.arange(m)])
-    data = np.concatenate([np.ones(m), -np.ones(m)])
-    return sp.csr_matrix((data, (rows, cols)), shape=(len(index), m))
+    rows = np.stack([tails, heads], axis=1).ravel()
+    return sp.csc_matrix((np.tile([1.0, -1.0], m), rows, np.arange(0, 2 * m + 1, 2)),
+                         shape=(len(index), m)).tocsr()
 
 
 def _read_endpoints(A: sp.csr_matrix, node_ids, edge_meta) -> tuple[np.ndarray, np.ndarray]:
@@ -211,10 +214,11 @@ def _read_endpoints(A: sp.csr_matrix, node_ids, edge_meta) -> tuple[np.ndarray, 
     plus, minus = coo.data == 1.0, coo.data == -1.0
     tails, heads = np.full(m, -1, dtype=np.intp), np.full(m, -1, dtype=np.intp)
     tails[coo.col[plus]], heads[coo.col[minus]] = coo.row[plus], coo.row[minus]
+    names = np.fromiter(node_ids, dtype=object, count=n)
     # 2m entries with a +1 and a -1 in every column leave room for no other.
     if (coo.nnz != 2 * m or np.any(tails < 0) or np.any(heads < 0)
-            or [node_ids[t] for t in tails.tolist()] != [e.tail for e in edge_meta]
-            or [node_ids[h] for h in heads.tolist()] != [e.head for e in edge_meta]):
+            or names[tails].tolist() != [e.tail for e in edge_meta]
+            or names[heads].tolist() != [e.head for e in edge_meta]):
         raise ScenarioError("A is not the incidence matrix of edge_meta over node_ids")
     tails.setflags(write=False)
     heads.setflags(write=False)
@@ -250,24 +254,31 @@ def incidence_of_graph(nodes: Sequence[str],
     The orientation is taken from the listed (tail, head) order; self-loops
     are rejected since their column would be identically zero.
     """
-    return _incidence_csr(_node_index(nodes), edges)
+    return _incidence_csr(_node_index(nodes), [e[0] for e in edges], [e[1] for e in edges])
 
 
 def graph_instance(nodes: Sequence[str],
                    edges: Sequence[tuple[str, str, float]],
                    demands: Sequence[DemandSpec]) -> Instance:
     """Build an incidence instance from labelled, costed edges."""
-    index = _node_index(nodes)
-    A = _incidence_csr(index, edges)
-    c = np.array([cost for _, _, cost in edges], dtype=float)
-    meta = tuple(EdgeMeta(u, v, f"{u}-{v}") for u, v, _ in edges)
+    us, vs, costs = ([e[i] for e in edges] for i in range(3))
+    return _graph_instance(_node_index(nodes), us, vs, np.array(costs, dtype=float), demands)
+
+
+def _graph_instance(index: dict[str, int], us: list, vs: list, c: np.ndarray,
+                    demands: Sequence[DemandSpec]) -> Instance:
+    """``graph_instance`` of the edges ``us[j] -> vs[j]`` at cost ``c[j]``."""
+    A = _incidence_csr(index, us, vs)
+    # tuple.__new__ builds each EdgeMeta without a Python-level call.
+    meta = tuple(map(partial(tuple.__new__, EdgeMeta),
+                     zip(us, vs, [f"{u}-{v}" for u, v in zip(us, vs)])))
     # Column i is +amount at the source and -amount at the sink.
     B = np.zeros((len(index), len(demands)))
     cols = np.arange(len(demands))
     amount = np.array([d.amount for d in demands], dtype=float)
     B[_lookup(index, [d.source for d in demands], "demand"), cols] = amount
     B[_lookup(index, [d.sink for d in demands], "demand"), cols] = -amount
-    return Instance(A=A, c=c, B=B, edge_meta=meta, node_ids=tuple(nodes))
+    return Instance(A=A, c=c, B=B, edge_meta=meta, node_ids=tuple(index))
 
 
 def max_flow_bound(instance: Instance) -> list[float] | None:
@@ -336,22 +347,22 @@ def _parse_initial_capacity(raw: Any) -> InitialCapacity:
         return InitialCapacity(kind="constant", value=1.0)
     try:
         if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-            if raw <= 0:
-                raise ScenarioError("initial capacity must be positive")
+            if not 0 < float(raw) < math.inf:
+                raise ScenarioError("initial capacity must be positive and finite")
             return InitialCapacity(kind="constant", value=float(raw))
         if isinstance(raw, list):
             vals = [float(v) for v in raw]
-            if any(v <= 0 for v in vals):
-                raise ScenarioError("initial capacities must be positive")
+            if not all(0 < v < math.inf for v in vals):
+                raise ScenarioError("initial capacities must be positive and finite")
             return InitialCapacity(kind="per_edge", values=tuple(vals))
         if isinstance(raw, Mapping) and "random_uniform" in raw:
             lo, hi = (float(v) for v in raw["random_uniform"])
-            if not (0 < lo <= hi):
-                raise ScenarioError("random_uniform bounds must satisfy 0 < lo <= hi")
+            if not 0 < lo <= hi < math.inf:
+                raise ScenarioError("random_uniform bounds must satisfy 0 < lo <= hi < inf")
             seed = raw.get("seed")
             return InitialCapacity(kind="random_uniform", low=lo, high=hi,
                                    seed=None if seed is None else int(seed))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"initial_capacity is malformed: {exc}") from exc
     raise ScenarioError("unrecognized initial_capacity specification")
 
@@ -426,14 +437,20 @@ def _load_graph_scenario(doc: Mapping[str, Any]) -> Scenario:
     _require(isinstance(raw_edges, list) and raw_edges, "'edges' must be a non-empty list")
     raw_demands = doc.get("demands", [])
     _require(isinstance(raw_demands, list), "'demands' must be a list")
-    edges, demands, layout = [], [], None
     try:
-        for j, e in enumerate(raw_edges):
-            _require(isinstance(e, Mapping) and {"u", "v", "cost"} <= set(e),
-                     f"edge {j} must be an object with u, v, cost")
-            cost = float(e["cost"])
-            _require(cost > 0 and math.isfinite(cost), f"edge {j} has nonpositive cost")
-            edges.append((e["u"], e["v"], cost))
+        us, vs = [e["u"] for e in raw_edges], [e["v"] for e in raw_edges]
+        c = np.array([e["cost"] for e in raw_edges], dtype=float)
+    except (LookupError, TypeError, ValueError, OverflowError):
+        c = None
+    demands, layout = [], None
+    try:
+        if c is None or c.shape != (len(raw_edges),) or not np.all((c > 0) & (c < np.inf)):
+            for j, e in enumerate(raw_edges):  # name the first bad edge
+                _require(isinstance(e, Mapping) and {"u", "v", "cost"} <= set(e),
+                         f"edge {j} must be an object with u, v, cost")
+                cost = float(e["cost"])
+                _require(cost > 0 and math.isfinite(cost), f"edge {j} has nonpositive cost")
+            raise ScenarioError("edge costs must be numbers")
         for i, d in enumerate(raw_demands):
             _require(isinstance(d, Mapping) and {"source", "sink", "amount"} <= set(d),
                      f"demand {i} must be an object with source, sink, amount")
@@ -441,13 +458,15 @@ def _load_graph_scenario(doc: Mapping[str, Any]) -> Scenario:
         if "layout" in doc:
             _require(isinstance(doc["layout"], Mapping), "'layout' must be an object")
             layout = {v: (float(x), float(y)) for v, (x, y) in doc["layout"].items()}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"graph scenario is malformed: {exc}") from exc
-    instance = graph_instance(nodes, edges, demands)
+    index = _node_index(nodes)
+    instance = _graph_instance(index, us, vs, c, demands)
     terminals = None
     if "terminals" in doc:
         terms = doc["terminals"]
-        _require(isinstance(terms, list) and all(t in nodes for t in terms),
+        _require(isinstance(terms, list)
+                 and all(isinstance(t, str) and t in index for t in terms),
                  "'terminals' must list known node ids")
         terminals = tuple(terms)
     return Scenario(instance=instance,

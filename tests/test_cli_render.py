@@ -209,7 +209,15 @@ def _malformed(path: tuple, value) -> dict:
     _malformed(("demands", 0, "amount"), "x"),
     _malformed(("layout", "a"), [0.0]),
     _malformed(("initial_capacity",), {"random_uniform": [1]}),
-], ids=["cost-text", "cost-null", "amount-text", "layout-not-pair", "random-uniform-one"])
+    _malformed(("initial_capacity",), math.nan),
+    _malformed(("initial_capacity",), math.inf),
+    _malformed(("initial_capacity",), [math.nan]),
+    _malformed(("initial_capacity",), {"random_uniform": [0.5, math.inf]}),
+    _malformed(("edges", 0, "u"), ["a"]),
+    _malformed(("demands", 0, "source"), {"a": 1}),
+], ids=["cost-text", "cost-null", "amount-text", "layout-not-pair", "random-uniform-one",
+        "capacity-nan", "capacity-infinity", "capacity-list-nan", "random-uniform-infinity",
+        "edge-endpoint-list", "demand-endpoint-object"])
 def test_cli_run_malformed_values_are_config_errors(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

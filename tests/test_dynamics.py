@@ -209,6 +209,9 @@ def test_run_rejects_bad_x0(ring):
         pn.run(ring.instance, np.array([1.0, -1.0, 1.0]), spec)
     with pytest.raises(ScenarioError):
         pn.run(ring.instance, np.array([1.0, 1.0]), spec)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ScenarioError, match="x0 must be strictly positive and finite"):
+            pn.run(ring.instance, np.array([1.0, bad, 1.0]), spec)
 
 
 def test_trajectory_csv_schema(ring, tmp_path):

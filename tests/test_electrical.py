@@ -205,6 +205,20 @@ def test_solver_failure_reports_residual(ring):
 
 
 @pytest.mark.parametrize("kind", ["band", "splu"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_capacity_fails_the_solve_check(factorization, kind, bad):
+    # the factorization or the residual check fails; a NaN residual passes
+    # no tolerance
+    factorization(kind)
+    inst = pn.bowtie_scenario(8.0).instance
+    x = np.ones(inst.m)
+    x[3] = bad
+    with pytest.raises(SolverError) as err:
+        pn.solve_commodities(inst, x)
+    assert err.value.residual is None or math.isnan(err.value.residual)
+
+
+@pytest.mark.parametrize("kind", ["band", "splu"])
 def test_singular_factorization_raises_solver_error(factorization, kind):
     # zero capacity on both edges at c cuts it off from the grounded node:
     # the grounded Laplacian is singular, and either factorization says so

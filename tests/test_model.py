@@ -6,8 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import physanet as pn
+from physanet import cli
 from physanet.errors import InfeasibleDemandError, ScenarioError
 
 from conftest import graph_parts, random_graph_instance
@@ -204,30 +207,118 @@ def test_graph_instance_stores_read_only_csr(ring):
     assert type(raw.A) is np.ndarray
 
 
+def _assert_is_reference(inst, names, edges, demands):
+    """``inst`` is the instance of ``(names, edges, demands)``, built here
+    column by column."""
+    n, m, k = len(names), len(edges), len(demands)
+    A, B = np.zeros((n, m)), np.zeros((n, k))
+    tails, heads = np.zeros(m, dtype=np.intp), np.zeros(m, dtype=np.intp)
+    for j, (u, v, _) in enumerate(edges):
+        tails[j], heads[j] = names.index(u), names.index(v)
+        A[tails[j], j], A[heads[j], j] = 1.0, -1.0
+    for i, d in enumerate(demands):
+        B[names.index(d.source), i] = d.amount
+        B[names.index(d.sink), i] = -d.amount
+    ref = sp.csr_matrix(A)
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(inst.A, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert inst.B.shape == B.shape and inst.B.tobytes() == B.tobytes()
+    c = np.array([cost for _, _, cost in edges], dtype=float)
+    assert inst.c.tobytes() == c.tobytes()
+    assert inst.edge_meta == tuple((u, v, f"{u}-{v}") for u, v, _ in edges)
+    assert all(type(e) is pn.EdgeMeta for e in inst.edge_meta)
+    assert inst.node_ids == tuple(names)
+    got_tails, got_heads = inst.edge_endpoints()
+    assert np.array_equal(got_tails, tails) and np.array_equal(got_heads, heads)
+    assert got_tails.dtype == np.intp and not got_tails.flags.writeable
+
+
 def test_graph_instance_matches_column_by_column_reference():
     rng = np.random.default_rng(17)
     cases = [graph_parts(pn.load_instance(TOKYO))]
     cases += [graph_parts(random_graph_instance(rng, k_max=4)) for _ in range(20)]
     cases.append((["u", "v", "w"], [("u", "v", 1.0), ("w", "v", 2.0)], []))
     for names, edges, demands in cases:
-        inst = pn.graph_instance(names, edges, demands)
-        n, m, k = len(names), len(edges), len(demands)
-        A, B = np.zeros((n, m)), np.zeros((n, k))
-        tails, heads = np.zeros(m, dtype=np.intp), np.zeros(m, dtype=np.intp)
-        for j, (u, v, _) in enumerate(edges):
-            tails[j], heads[j] = names.index(u), names.index(v)
-            A[tails[j], j], A[heads[j], j] = 1.0, -1.0
-        for i, d in enumerate(demands):
-            B[names.index(d.source), i] = d.amount
-            B[names.index(d.sink), i] = -d.amount
-        ref = sp.csr_matrix(A)
-        for name in ("data", "indices", "indptr"):
-            got, want = getattr(inst.A, name), getattr(ref, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert inst.B.shape == B.shape and inst.B.tobytes() == B.tobytes()
-        got_tails, got_heads = inst.edge_endpoints()
-        assert np.array_equal(got_tails, tails) and np.array_equal(got_heads, heads)
-        assert got_tails.dtype == np.intp and not got_tails.flags.writeable
+        _assert_is_reference(pn.graph_instance(names, edges, demands), names, edges, demands)
+
+
+def _grid_document(tmp_path, seed: int) -> Path:
+    path = tmp_path / f"grid{seed}.json"
+    assert cli.main(["gen-scenario", "--kind", "grid", "--spacing", "1.0",
+                     "--seed", str(seed), "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("source", ["ring.json", "bowtie_L8.json", "tokyo_like_synthetic.json",
+                                    "grid-3", "grid-11"])
+def test_loader_builds_the_instance_of_its_edge_tuples(tmp_path, source):
+    if source.startswith("grid-"):
+        path = _grid_document(tmp_path, int(source.split("-")[1]))
+    else:
+        path = TOKYO.parent / source
+    doc = json.loads(path.read_text())
+    scen = pn.load_scenario(path)
+    edges = [(e["u"], e["v"], float(e["cost"])) for e in doc["edges"]]
+    demands = [pn.DemandSpec(d["source"], d["sink"], float(d["amount"]))
+               for d in doc.get("demands", [])]
+    _assert_is_reference(scen.instance, doc["nodes"], edges, demands)
+    assert scen.terminals == (tuple(doc["terminals"]) if "terminals" in doc else None)
+    layout = doc.get("layout")
+    assert scen.layout == (None if layout is None
+                           else {v: (float(x), float(y)) for v, (x, y) in layout.items()})
+    assert scen.initial_capacity.document() == doc.get("initial_capacity", 1.0)
+
+
+def _graph_doc(edit) -> dict:
+    doc = {"nodes": ["a", "b", "c"],
+           "edges": [{"u": "a", "v": "b", "cost": 1.0}, {"u": "b", "v": "c", "cost": 2.0}],
+           "demands": [{"source": "a", "sink": "c", "amount": 1.0}]}
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["edges"].__setitem__(1, ["b", "c", 2.0]),
+     "edge 1 must be an object with u, v, cost"),
+    (lambda d: d["edges"][1].pop("cost"), "edge 1 must be an object with u, v, cost"),
+    (lambda d: d["edges"][1].update(cost="abc"),
+     "graph scenario is malformed: could not convert string to float: 'abc'"),
+    (lambda d: d["edges"][1].update(cost=None),
+     "graph scenario is malformed: float() argument must be a string or a real number, "
+     "not 'NoneType'"),
+    (lambda d: d["edges"][1].update(cost=0), "edge 1 has nonpositive cost"),
+    (lambda d: d["edges"][1].update(cost=float("nan")), "edge 1 has nonpositive cost"),
+    (lambda d: d["edges"][1].update(cost=float("inf")), "edge 1 has nonpositive cost"),
+    (lambda d: d["edges"][1].update(v="z"), "edge references unknown node 'z'"),
+    (lambda d: d["edges"][1].update(v="b"), "self-loop on node 'b' not allowed"),
+    (lambda d: d["nodes"].append("a"), "duplicate node ids"),
+    (lambda d: d["edges"][1].update(u=["a"]),
+     "edge 1 names a node that is not a string: ['a']"),
+    (lambda d: d["demands"][0].update(source={"a": 1}),
+     "demand 0 names a node that is not a string: {'a': 1}"),
+    (lambda d: d.update(terminals=["a", ["b"]]), "'terminals' must list known node ids"),
+], ids=["edge-not-object", "edge-missing-cost", "cost-text", "cost-null", "cost-zero",
+        "cost-nan", "cost-inf", "unknown-node", "self-loop", "duplicate-node",
+        "edge-endpoint-list", "demand-endpoint-object", "terminal-list"])
+def test_graph_loader_messages(edit, message):
+    doc = _graph_doc(edit)
+    for document in (doc, json.dumps(doc)):
+        with pytest.raises(ScenarioError) as info:
+            pn.load_scenario(document)
+        assert str(info.value) == message
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_scenario_documents_round_trip(seed):
+    inst = random_graph_instance(np.random.default_rng(seed), k_max=4)
+    scen = pn.Scenario(instance=inst, initial_capacity=pn.InitialCapacity("constant", 1.0))
+    again = pn.load_scenario(json.dumps(pn.scenario_document(scen))).instance
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(again.A, name), getattr(inst.A, name))
+    assert again.c.tobytes() == inst.c.tobytes() and again.B.tobytes() == inst.B.tobytes()
+    assert again.edge_meta == inst.edge_meta and again.node_ids == inst.node_ids
 
 
 @pytest.mark.parametrize("nodes, edges, demands", [
