@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DivergenceError, ScenarioError, SolverError
 from .electrical import (FlowSolution, GroundingPlan, _single_threaded_blas,
                          solve_commodities)
-from .model import CapacityState, Instance
+from .model import CapacityState, Instance, max_flow_bound
 
 
 class DynamicsKind(str, enum.Enum):
@@ -215,9 +215,13 @@ class DiagnosticsConfig:
 
 def lambda_norms(solution: FlowSolution, kind: DynamicsKind) -> np.ndarray:
     """Per-edge aggregation of normalized drops: 1-norm for the one-norm
-    dynamics, 2-norm for everything else."""
+    dynamics, 2-norm for everything else.  Neither forms or keeps an
+    m x k array."""
     if kind == DynamicsKind.ONE_NORM:
-        return np.abs(solution.Lambda).sum(axis=1)
+        norms = np.empty(solution.drops.shape[0])
+        for rows, block in solution.lambda_blocks():
+            norms[rows] = np.abs(block, out=block).sum(axis=1)
+        return norms
     return np.sqrt(solution.lambda_sq_norms)
 
 
@@ -276,8 +280,19 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
 
     Capacities stay strictly positive throughout (multiplicative shrinkage
     plus an explicit floor) and the run aborts with
-    :class:`DivergenceError` if the Lyapunov cost term ever exceeds twice
-    the starting Lyapunov value, which the continuous dynamics cannot do.
+    :class:`DivergenceError` at the first step whose cost term leaves a
+    bound the dynamics cannot leave:
+
+    * one-norm: ``c^T max(x0, sum_i f_i)``, with ``f_i`` the per-commodity
+      bound of :func:`~physanet.model.max_flow_bound`.  The step is
+      ``max((1 - h) x + h ||Q_e||_1, floor)`` and ``||Q_e||_1 <= sum_i
+      f_i``, so no edge grows past ``max(x0_e, sum_i f_i)``.  Its Lyapunov
+      value need not decrease on several commodities, so twice the starting
+      value is no bound for it.  Where ``max_flow_bound`` gives none, the
+      check below is used.
+    * every other kind: twice the starting value of its Lyapunov function,
+      which decreases along the continuous dynamics.
+
     The returned trajectory holds the solve at its final state.
 
     The steps run with every loaded OpenBLAS set to one thread, and the
@@ -302,7 +317,13 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
     b1_safe = np.where(b1 > 0, b1, 1.0)
     is_incidence = instance.is_incidence
 
-    bound = None
+    flow_bound = (max_flow_bound(instance) if spec.kind == DynamicsKind.ONE_NORM
+                  else None)
+    if flow_bound is None:
+        bound, bound_name = None, "bounded-domain limit 2 L(x0)"
+    else:
+        bound = float(c @ np.maximum(x, sum(flow_bound)))
+        bound_name = "flow-bound limit c^T max(x0, sum_i f_i)"
     slack_accum = 0.0
     step = 0
     with _single_threaded_blas():
@@ -337,13 +358,14 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
                     gap = certificate(instance, x, sol).gap
                 ratio = float("nan")
                 if is_incidence and instance.k > 0:
-                    # |Q| / ||b||_1 formed in place here and dropped, not
-                    # cached on the kept solution
-                    flows = sol.drops @ sol.W
-                    np.abs(flows, out=flows)
-                    flows *= x[:, None]
-                    flows /= b1_safe
-                    ratio = float(flows.max())
+                    # |Q| / ||b||_1 formed in place, a block of edges at a time
+                    block_max = []
+                    for rows, block in sol.lambda_blocks():
+                        np.abs(block, out=block)
+                        block *= x[rows, None]
+                        block /= b1_safe
+                        block_max.append(block.max())
+                    ratio = float(np.max(block_max))
                 traj.records.append(TrajectoryRecord(
                     t=t, x=x.copy(), lyapunov=lyap, cost=cost, energy=energy,
                     residual=residual, gap=gap, slack_from_prev=slack_accum,
@@ -352,7 +374,7 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
             if cost_term > bound * (1.0 + 1e-9):
                 raise DivergenceError(
                     f"step {step}: cost term {cost_term:.6g} "
-                    f"exceeds bounded-domain limit {bound:.6g}", step=step, x=x.copy())
+                    f"exceeds {bound_name} = {bound:.6g}", step=step, x=x.copy())
             if done:
                 traj.status = (TerminalStatus.CONVERGED
                                if residual <= spec.stop_tol else TerminalStatus.MAX_STEPS)

@@ -13,6 +13,8 @@ import physanet as pn
 from physanet.cli import main
 from physanet.render import to_dot, to_svg
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
@@ -80,6 +82,18 @@ def test_cli_run_ring_report(tmp_path, ring_path):
 
 def _files(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_cli_run_one_norm_on_the_grid(tmp_path):
+    # 93 commodities: the one-norm cost passes 2 L(x0) at step 17 of a run
+    # that converges, and only the flow bound may stop it
+    out = tmp_path / "run"
+    code = run_cli("run", "--scenario", SCENARIOS / "tokyo_like_synthetic.json",
+                   "--out", out, "--dynamics", "one-norm", "--h", "0.05",
+                   "--max-steps", "100", "--record-every", "50")
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "max-steps" and report["steps"] == 100
 
 
 def test_cli_run_deterministic_repeat(tmp_path, ring_path):
@@ -441,5 +455,4 @@ def test_cli_run_bowtie_l8_cost(tmp_path):
 def test_cli_gen_scenario_reproduces_checked_in_files(tmp_path, reference, flags):
     out = tmp_path / reference
     assert run_cli("gen-scenario", *flags, "--out", out) == 0
-    scenarios_dir = Path(__file__).resolve().parents[1] / "scenarios"
-    assert out.read_bytes() == (scenarios_dir / reference).read_bytes()
+    assert out.read_bytes() == (SCENARIOS / reference).read_bytes()

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import physanet as pn
 from physanet.dynamics import DynamicsKind, GFunction
@@ -12,6 +16,13 @@ from physanet.errors import DivergenceError, ScenarioError
 from conftest import random_graph_instance
 
 K = DynamicsKind
+
+TOKYO = Path(__file__).resolve().parents[1] / "scenarios" / "tokyo_like_synthetic.json"
+
+
+@pytest.fixture(scope="module")
+def tokyo():
+    return pn.load_scenario(TOKYO)
 
 
 def all_g_variants():
@@ -249,19 +260,101 @@ def test_trajectory_csv_bytes_match_per_value_format(ring, tmp_path, record_gap)
 
 def test_divergence_caught_at_the_step_it_happens(ring, monkeypatch):
     # a right-hand side that grows x leaves the bounded domain within a few
-    # steps; the check must not wait for the next record point
+    # steps; the check must not wait for the next record point, and the
+    # message names the bound of the kind: the one-norm kind checks the
+    # flow bound, the others twice the starting Lyapunov value
     def growing(instance, x, solution, spec, **kwargs):
         return np.asarray(x, dtype=float)
 
     monkeypatch.setattr(pn.dynamics, "rhs", growing)
-    spec = pn.DynamicsSpec(kind=K.TWO_NORM, h=0.5, max_steps=10_000)
-    with pytest.raises(DivergenceError, match=r"^step (\d+):") as err:
-        pn.run(ring.instance, np.ones(3), spec,
-               pn.DiagnosticsConfig(record_every=2000))
-    assert 0 < int(err.value.args[0].split()[1].rstrip(":")) < 10
-    # the error carries the step and the state at which it was raised
-    assert err.value.step == int(err.value.args[0].split()[1].rstrip(":"))
-    assert np.array_equal(err.value.x, np.full(3, 1.5 ** err.value.step))
+    for kind, bound in ((K.TWO_NORM, "bounded-domain limit"),
+                        (K.ONE_NORM, "flow-bound limit")):
+        spec = pn.DynamicsSpec(kind=kind, h=0.5, max_steps=10_000)
+        with pytest.raises(DivergenceError, match=r"^step (\d+):") as err:
+            pn.run(ring.instance, np.ones(3), spec,
+                   pn.DiagnosticsConfig(record_every=2000))
+        assert bound in err.value.args[0]
+        assert 0 < int(err.value.args[0].split()[1].rstrip(":")) < 10
+        # the error carries the step and the state at which it was raised
+        assert err.value.step == int(err.value.args[0].split()[1].rstrip(":"))
+        assert np.array_equal(err.value.x, np.full(3, 1.5 ** err.value.step))
+
+
+def test_one_norm_on_many_commodities_is_not_stopped_as_divergent(tokyo):
+    # With 93 commodities the one-norm kind's Lyapunov value does not fall
+    # monotonically, and its cost passes 2 L(x0) near t = 0.85 (step 17
+    # here) in a run that converges; the flow bound holds throughout.
+    spec = pn.DynamicsSpec(kind=K.ONE_NORM, h=0.05, max_steps=200)
+    x0 = tokyo.sample_x0(seed=0)
+    traj = pn.run(tokyo.instance, x0, spec, pn.DiagnosticsConfig(record_every=10))
+    assert traj.status == pn.TerminalStatus.MAX_STEPS and traj.steps == 200
+    assert max(r.cost for r in traj.records) > 2 * traj.records[0].lyapunov
+    limit = np.maximum(x0, sum(pn.max_flow_bound(tokyo.instance)))
+    assert all(np.all(r.x <= limit) for r in traj.records)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.sampled_from([0.05, 0.3, 0.9]))
+def test_one_norm_capacities_stay_within_the_flow_bound(seed, h):
+    # x+ = max((1 - h) x + h ||Q_e||_1, floor) and ||Q_e||_1 <= sum_i f_i
+    rng = np.random.default_rng(seed)
+    inst = random_graph_instance(rng, k_max=4)
+    x0 = np.exp(rng.uniform(-3, 3, inst.m))
+    spec = pn.DynamicsSpec(kind=K.ONE_NORM, h=h, max_steps=30)
+    traj = pn.run(inst, x0, spec)
+    limit = np.maximum(x0, sum(pn.max_flow_bound(inst)))
+    for r in traj.records:
+        assert np.all(r.x <= limit * (1 + 1e-9))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 4))
+def test_blocked_reductions_equal_the_whole_array_formulas(seed, rows):
+    # Blocks of two rows or more are multiplied by the same kernel as the
+    # whole m x k array, so the one-norm norms and the flow ratio are
+    # exactly the ones it gives.
+    rng = np.random.default_rng(seed)
+    inst = random_graph_instance(rng, n_max=12, k_max=6)
+    b1 = np.abs(inst.B).sum(axis=0)
+    spec = pn.DynamicsSpec(kind=K.ONE_NORM, h=0.3, max_steps=5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pn.electrical, "ROW_BLOCK_BYTES", 8 * inst.k * rows)
+        traj = pn.run(inst, np.exp(rng.uniform(-3, 3, inst.m)), spec)
+        for r in traj.records:
+            sol = pn.solve_commodities(inst, r.x)
+            Lambda = sol.drops @ sol.W
+            sizes = [block.shape[0] for _, block in sol.lambda_blocks()]
+            assert sum(sizes) == inst.m
+            assert min(sizes) >= 2 and max(sizes) <= rows + 1
+            assert np.array_equal(pn.lambda_norms(sol, K.ONE_NORM),
+                                  np.abs(Lambda).sum(axis=1))
+            assert r.flow_ratio == (np.abs(Lambda) * r.x[:, None] / b1).max()
+            assert "Lambda" not in vars(sol)
+
+
+def test_run_keeps_no_edges_by_commodities_array(tokyo):
+    # The demands repeated double k and keep the 19 basis columns of the
+    # solve; the run's traced peak must grow by less than the m x k array
+    # that the added commodities' flows would take.
+    inst = tokyo.instance
+    doubled = pn.Instance(A=inst.A, c=inst.c, B=np.hstack([inst.B, inst.B]),
+                          edge_meta=inst.edge_meta, node_ids=inst.node_ids)
+    x0 = tokyo.sample_x0(seed=0)
+    spec = pn.DynamicsSpec(kind=K.TWO_NORM, h=0.05, max_steps=30)
+    diag = pn.DiagnosticsConfig(record_every=10)
+
+    def traced_peak(instance) -> int:
+        first = pn.run(instance, x0, spec, diag)  # builds the per-instance solver
+        assert first.final_solution.W.shape[0] == 19
+        tracemalloc.start()
+        try:
+            pn.run(instance, x0, spec, diag)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = traced_peak(doubled) - traced_peak(inst)
+    assert growth < inst.m * inst.k * np.dtype(float).itemsize
 
 
 def test_run_computes_edge_norms_once_per_step(ring, monkeypatch):
@@ -280,6 +373,7 @@ def test_run_computes_edge_norms_once_per_step(ring, monkeypatch):
                       pn.DiagnosticsConfig(record_every=100))
         assert traj.steps == 40
         assert calls == [kind] * 41
+        assert "Lambda" not in vars(traj.final_solution)
 
 
 def _blas_thread_counts(controls) -> list[int]:
