@@ -1,6 +1,6 @@
 """Physarum-style capacity dynamics for multi-commodity network design."""
 
-from .analysis import (BregmanReport, BruteForceConfig, Certificate,
+from .analysis import (BregmanReport, Certificate,
                        LyapunovReport, bregman_bound_check,
                        brute_force_min_lyapunov, certificate,
                        check_lyapunov_monotone, finite_difference_gradient,

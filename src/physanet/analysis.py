@@ -65,18 +65,14 @@ class Certificate:
 @dataclass(frozen=True)
 class BregmanReport:
     divergence: float
-    curve: tuple[tuple[float, float], ...]  # (t, t * (L(x(t)) - L(x*)))
-    max_ratio: float
+    max_ratio: float  # of max_t t * (L(x(t)) - L(x*)) to the divergence
     passed: bool
-    slack: float
-    zero_coordinates: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class MonotonicityReport:
     max_excess: float
     violations: int
-    checked: int
 
 
 def lyapunov(instance: Instance, x: np.ndarray, solution: FlowSolution,
@@ -151,13 +147,11 @@ def certificate(instance: Instance, x: np.ndarray,
 # Brute-force Lyapunov minimization (oracle for small instances)
 
 
-@dataclass(frozen=True)
-class BruteForceConfig:
-    mode: str = "auto"          # "full" (m <= 4) | "symmetric" | "auto"
-    lo: float = 1e-3
-    hi: float | None = None
-    points: int = 9
-    refine_passes: int = 60
+# Capacities range over [BRUTE_FORCE_LO, max(1, ||B||_1)]; the full search
+# scans a log-spaced grid and then refines one edge at a time.
+BRUTE_FORCE_LO = 1e-3
+BRUTE_FORCE_POINTS = 9
+BRUTE_FORCE_REFINE_PASSES = 60
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 80):
@@ -183,30 +177,29 @@ def _lyapunov_at(instance: Instance, x: np.ndarray) -> float:
     return lyapunov(instance, x, solve_commodities(instance, x)).value
 
 
-def min_lyapunov_search(instance: Instance,
-                        config: BruteForceConfig | None = None
-                        ) -> tuple[float, np.ndarray]:
-    """Grid scan plus golden-section refinement; returns (value, argmin)."""
-    cfg = config or BruteForceConfig()
-    mode = cfg.mode
+def min_lyapunov_search(instance: Instance, *,
+                        mode: str = "auto") -> tuple[float, np.ndarray]:
+    """Grid scan plus golden-section refinement; returns (value, argmin).
+    ``mode`` is ``"full"`` (m <= 4), ``"symmetric"`` or ``"auto"`` (full)."""
     if mode == "auto":
         if instance.m > 4:
             raise ScenarioError(
                 "brute-force search needs m <= 4; declare mode='symmetric' "
                 "for symmetric instances")
         mode = "full"
-    hi = cfg.hi if cfg.hi is not None else max(1.0, float(np.abs(instance.B).sum()))
+    hi = max(1.0, float(np.abs(instance.B).sum()))
     ones = np.ones(instance.m)
 
     if mode == "symmetric":
-        z, val = _golden_min(lambda z: _lyapunov_at(instance, z * ones), cfg.lo, hi)
+        z, val = _golden_min(lambda z: _lyapunov_at(instance, z * ones),
+                             BRUTE_FORCE_LO, hi)
         return val, z * ones
     if mode != "full":
         raise ScenarioError(f"unknown brute-force mode {mode!r}")
     if instance.m > 4:
         raise ScenarioError("full brute-force search supports at most 4 edges")
 
-    grid = np.geomspace(cfg.lo, hi, cfg.points)
+    grid = np.geomspace(BRUTE_FORCE_LO, hi, BRUTE_FORCE_POINTS)
     best_x, best = None, math.inf
     mesh = np.meshgrid(*([grid] * instance.m), indexing="ij")
     for point in zip(*(g.ravel() for g in mesh)):
@@ -215,14 +208,14 @@ def min_lyapunov_search(instance: Instance,
         if val < best:
             best, best_x = val, xv
     x = best_x.copy()
-    for _ in range(cfg.refine_passes):
+    for _ in range(BRUTE_FORCE_REFINE_PASSES):
         before = best
         for j in range(instance.m):
             def along(z, j=j):
                 xv = x.copy()
                 xv[j] = z
                 return _lyapunov_at(instance, xv)
-            zj, val = _golden_min(along, cfg.lo, hi, iters=40)
+            zj, val = _golden_min(along, BRUTE_FORCE_LO, hi, iters=40)
             if val < best:
                 best = val
                 x[j] = zj
@@ -231,10 +224,10 @@ def min_lyapunov_search(instance: Instance,
     return best, x
 
 
-def brute_force_min_lyapunov(instance: Instance,
-                             config: BruteForceConfig | None = None) -> float:
-    """Minimum Lyapunov value over ``x >= lo`` found by exhaustive search."""
-    value, _ = min_lyapunov_search(instance, config)
+def brute_force_min_lyapunov(instance: Instance, *, mode: str = "auto") -> float:
+    """Minimum Lyapunov value over ``x >= BRUTE_FORCE_LO`` found by
+    exhaustive search."""
+    value, _ = min_lyapunov_search(instance, mode=mode)
     return value
 
 
@@ -260,7 +253,7 @@ def bregman_bound_check(trajectory: Trajectory, x_star: np.ndarray,
 
     Valid for mirror-dynamics trajectories; ``slack`` absorbs the Euler
     discretization error.  Coordinates where ``x*`` is zero contribute only
-    their ``x(0)`` term to the divergence and are reported.
+    their ``x(0)`` term to the divergence.
     """
     if trajectory.spec.kind != DynamicsKind.MIRROR:
         raise ScenarioError("Bregman bound applies to mirror-dynamics trajectories")
@@ -268,18 +261,13 @@ def bregman_bound_check(trajectory: Trajectory, x_star: np.ndarray,
     x_star = np.asarray(x_star, dtype=float)
     x0 = trajectory.records[0].x
     d_h = relative_entropy(x_star, x0)
-    zero_coords = tuple(int(i) for i in np.nonzero(x_star <= 0)[0])
 
     l_star = lyapunov(inst, x_star, solve_commodities(inst, x_star)).value
 
-    curve = []
     worst = 0.0
     for rec in trajectory.records:
-        if rec.t < 1.0 - 1e-12:
-            continue
-        scaled = rec.t * (rec.lyapunov - l_star)
-        curve.append((rec.t, scaled))
-        worst = max(worst, scaled)
+        if rec.t >= 1.0 - 1e-12:
+            worst = max(worst, rec.t * (rec.lyapunov - l_star))
     if d_h > 1e-12:
         max_ratio = worst / d_h
         passed = max_ratio <= 1.0 + slack
@@ -287,25 +275,14 @@ def bregman_bound_check(trajectory: Trajectory, x_star: np.ndarray,
         # Started at the minimizer: the bound degenerates to L being flat.
         max_ratio = 0.0 if worst <= 1e-8 * max(1.0, abs(l_star)) else math.inf
         passed = max_ratio == 0.0
-    return BregmanReport(divergence=d_h, curve=tuple(curve),
-                         max_ratio=max_ratio, passed=passed, slack=slack,
-                         zero_coordinates=zero_coords)
+    return BregmanReport(divergence=d_h, max_ratio=max_ratio, passed=passed)
 
 
 def check_lyapunov_monotone(trajectory: Trajectory) -> MonotonicityReport:
     """Largest Lyapunov increase between consecutive records beyond the
     accumulated per-step Euler allowance (nonpositive means monotone)."""
-    worst = -math.inf
-    violations = 0
-    checked = 0
     records = trajectory.records
-    for prev, cur in zip(records, records[1:]):
-        excess = cur.lyapunov - prev.lyapunov - cur.slack_from_prev
-        worst = max(worst, excess)
-        checked += 1
-        if excess > 0:
-            violations += 1
-    if checked == 0:
-        worst = 0.0
-    return MonotonicityReport(max_excess=worst, violations=violations,
-                              checked=checked)
+    excess = [cur.lyapunov - prev.lyapunov - cur.slack_from_prev
+              for prev, cur in zip(records, records[1:])]
+    return MonotonicityReport(max_excess=max(excess, default=0.0),
+                              violations=sum(e > 0 for e in excess))

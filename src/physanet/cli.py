@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,6 +35,12 @@ def _number(flag: str, text: str) -> float:
         raise ScenarioError(f"{flag} takes numbers, not {text!r}") from None
 
 
+def _seed(args) -> int:
+    if args.seed < 0:  # numpy's generators take nonnegative seeds
+        raise ScenarioError(f"--seed must be nonnegative, not {args.seed}")
+    return args.seed
+
+
 def _add_dynamics_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dynamics", default="two-norm",
                         choices=[k.value for k in dynamics.DynamicsKind])
@@ -56,11 +63,9 @@ def _add_dynamics_flags(parser: argparse.ArgumentParser) -> None:
 
 def _spec_from_args(args) -> dynamics.DynamicsSpec:
     kind = dynamics.DynamicsKind(args.dynamics)
-    g = None
-    if kind == dynamics.DynamicsKind.GENERALIZED:
-        g = dynamics.GFunction.parse(args.g or "identity")
-    elif args.g is not None:
-        raise ScenarioError("--g is only valid with --dynamics generalized")
+    # DynamicsSpec refuses a g function for the other kinds.
+    g = args.g or ("identity" if kind == dynamics.DynamicsKind.GENERALIZED else None)
+    g = dynamics.GFunction.parse(g) if g else None
     return dynamics.DynamicsSpec(kind=kind, g=g, beta=args.beta, h=args.h,
                                  max_steps=args.max_steps,
                                  stop_tol=args.stop_tol,
@@ -83,7 +88,7 @@ def _run_dynamics(scenario: Scenario, args, record_gap: bool = False):
     """Integrate ``scenario`` as the dynamics flags say; returns x0 and the
     trajectory."""
     spec = _spec_from_args(args)
-    x0 = scenario.sample_x0(seed=args.seed)
+    x0 = scenario.sample_x0(seed=_seed(args))
     diag = dynamics.DiagnosticsConfig(record_every=args.record_every,
                                       record_gap=record_gap)
     return x0, dynamics.run(scenario.instance, x0, spec, diag,
@@ -98,6 +103,29 @@ def _write_state(outdir: Path, source: bytes, x, status: str, steps: int) -> Non
     _write_json(outdir / "final_state.json", {
         "x": np.asarray(x, dtype=float).tolist(), "status": status, "steps": steps,
     })
+
+
+def _read_json(path: Path, **options):
+    """The document in a JSON file; a file that cannot be read or parsed is
+    a configuration error that names it."""
+    try:
+        return json.loads(path.read_bytes(), **options)
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"cannot read {path}: {exc}") from None
+
+
+def _read_run_dir(run_dir: Path) -> tuple[Scenario, np.ndarray]:
+    """The scenario and the final capacities ``x`` a run directory holds."""
+    scenario = load_scenario(run_dir / "scenario.json")
+    path = run_dir / "final_state.json"
+    # Integers read as floats, so one too large for a float reads as inf.
+    state = _read_json(path, parse_int=float)
+    x = state.get("x") if isinstance(state, dict) else None
+    m = scenario.instance.m
+    if not (isinstance(x, list) and len(x) == m
+            and all(type(v) is float and 0 <= v < math.inf for v in x)):
+        raise ScenarioError(f"{path}: x must be a list of {m} finite, nonnegative numbers")
+    return scenario, np.array(x)
 
 
 def _cmd_run(args) -> int:
@@ -185,10 +213,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_certify(args) -> int:
     if args.run_dir:
-        run_dir = Path(args.run_dir)
-        scenario = load_scenario(run_dir / "scenario.json")
-        state = json.loads((run_dir / "final_state.json").read_text())
-        x = np.array(state["x"], dtype=float)
+        scenario, x = _read_run_dir(Path(args.run_dir))
         sol = electrical.solve_commodities(scenario.instance, x,
                                            solve_tol=args.solve_tol)
     else:
@@ -210,17 +235,13 @@ def _cmd_export(args) -> int:
     if args.format not in ("dot", "svg"):
         raise ScenarioError(f"unknown export format {args.format!r}")
     run_dir = Path(args.run_dir)
-    scenario = load_scenario(run_dir / "scenario.json")
-    state = json.loads((run_dir / "final_state.json").read_text())
-    x = np.array(state["x"], dtype=float)
+    scenario, x = _read_run_dir(run_dir)
     if args.format == "dot":
         text = render.to_dot(scenario.instance, x)
-        default_name = "network.dot"
     else:
         text = render.to_svg(scenario.instance, x, scenario.layout,
                              scenario.terminals)
-        default_name = "network.svg"
-    out = Path(args.out) if args.out else run_dir / default_name
+    out = Path(args.out) if args.out else run_dir / f"network.{args.format}"
     out.write_text(text)
     print(str(out))
     return EXIT_OK
@@ -233,10 +254,10 @@ def _cmd_gen_scenario(args) -> int:
         scenario = scenarios.bowtie_scenario(_number("--L", args.L))
     elif args.kind == "grid":
         if args.polygon:
-            poly = json.loads(Path(args.polygon).read_text())
+            poly = _read_json(Path(args.polygon))
         else:
             poly = scenarios.synthetic_region_polygon()
-        grid, _ = scenarios.grid_region_scenario(poly, args.spacing, args.seed)
+        grid, _ = scenarios.grid_region_scenario(poly, args.spacing, _seed(args))
         terminals = scenarios.pick_terminals(grid, args.terminal_count,
                                              args.threshold_fraction)
         demands = scenarios.demands_by_threshold(grid, terminals)

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, ScenarioError, SolverError
-from .electrical import (FlowSolution, GroundingPlan, _single_threaded_blas,
-                         solve_commodities)
+from .electrical import FlowSolution, _single_threaded_blas, solve_commodities
 from .model import CapacityState, Instance, max_flow_bound
 
 
@@ -64,13 +63,13 @@ class GFunction:
 
     @staticmethod
     def power(mu: float) -> "GFunction":
-        if mu <= 0:
+        if not mu > 0:
             raise ScenarioError("power exponent mu must be positive")
         return GFunction(kind="power", mu=mu)
 
     @staticmethod
     def saturating(alpha: float, mu: float) -> "GFunction":
-        if alpha <= 0 or mu <= 0:
+        if not (alpha > 0 and mu > 0):
             raise ScenarioError("saturating parameters alpha, mu must be positive")
         return GFunction(kind="saturating", alpha=alpha, mu=mu)
 
@@ -78,21 +77,15 @@ class GFunction:
     def parse(text: str) -> "GFunction":
         """Parse compact CLI syntax, e.g. ``reactive:0.5`` or ``saturating:1,2``."""
         name, _, args = text.partition(":")
-        parts = [float(v) for v in args.split(",") if v] if args else []
+        make = {"identity": GFunction.identity, "reactive": GFunction.reactive,
+                "reactive-squared": GFunction.reactive_squared,
+                "power": GFunction.power, "saturating": GFunction.saturating}.get(name)
+        if make is None:
+            raise ScenarioError(f"unknown g function {name!r}")
         try:
-            if name == "identity":
-                return GFunction.identity()
-            if name == "reactive":
-                return GFunction.reactive(*parts)
-            if name == "reactive-squared":
-                return GFunction.reactive_squared(*parts)
-            if name == "power":
-                return GFunction.power(*parts)
-            if name == "saturating":
-                return GFunction.saturating(*parts)
-        except TypeError:
-            raise ScenarioError(f"wrong number of parameters in g spec {text!r}") from None
-        raise ScenarioError(f"unknown g function {name!r}")
+            return make(*(float(v) for v in args.split(",") if v))
+        except (TypeError, ValueError):
+            raise ScenarioError(f"wrong number or kind of parameters in g spec {text!r}") from None
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -132,8 +125,8 @@ class DynamicsSpec:
     def __post_init__(self):
         if not 0 < self.h < 1:
             raise ScenarioError("step size h must lie in (0, 1)")
-        if self.stop_tol <= 0 or self.capacity_floor <= 0:
-            raise ScenarioError("stop_tol and capacity_floor must be positive")
+        if not (0 < self.stop_tol < np.inf and 0 < self.capacity_floor < np.inf):
+            raise ScenarioError("stop_tol and capacity_floor must be positive and finite")
         if self.max_steps < 1:
             raise ScenarioError("max_steps must be at least 1")
         if self.kind == DynamicsKind.GENERALIZED:
@@ -156,6 +149,8 @@ class TerminalStatus(str, enum.Enum):
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
+    """A recorded step's state and values; its flows come from a solve at ``x``."""
+
     t: float
     x: np.ndarray
     lyapunov: float
@@ -164,9 +159,8 @@ class TrajectoryRecord:
     residual: float
     gap: float | None = None
     # Allowed Lyapunov increase accumulated since the previous record
-    # (second-order Euler error), and the largest |Q_ei| / ||b_i||_1 seen.
+    # (second-order Euler error).
     slack_from_prev: float = 0.0
-    flow_ratio: float = float("nan")
 
 
 @dataclass
@@ -211,6 +205,10 @@ class Trajectory:
 class DiagnosticsConfig:
     record_every: int = 1
     record_gap: bool = False
+
+    def __post_init__(self):
+        if not self.record_every >= 1:
+            raise ScenarioError("record_every must be at least 1")
 
 
 def lambda_norms(solution: FlowSolution, kind: DynamicsKind) -> np.ndarray:
@@ -273,8 +271,7 @@ def fixed_point_residual(instance: Instance, x: np.ndarray,
 
 def run(instance: Instance, x0, spec: DynamicsSpec,
         diagnostics: DiagnosticsConfig | None = None, *,
-        solve_tol: float = 1e-10,
-        grounding: GroundingPlan | None = None) -> Trajectory:
+        solve_tol: float = 1e-10) -> Trajectory:
     """Integrate the dynamics until the fixed-point residual drops below
     ``spec.stop_tol`` or ``spec.max_steps`` Euler steps have been taken.
 
@@ -293,7 +290,8 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
     * every other kind: twice the starting value of its Lyapunov function,
       which decreases along the continuous dynamics.
 
-    The returned trajectory holds the solve at its final state.
+    The returned trajectory holds the solve at its final state; every
+    solve takes the instance's default grounding plan.
 
     The steps run with every loaded OpenBLAS set to one thread, and the
     previous thread counts are restored on return or raise.  Those counts
@@ -313,9 +311,6 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
 
     traj = Trajectory(instance=instance, spec=spec)
     c = instance.c
-    b1 = np.abs(instance.B).sum(axis=0)
-    b1_safe = np.where(b1 > 0, b1, 1.0)
-    is_incidence = instance.is_incidence
 
     flow_bound = (max_flow_bound(instance) if spec.kind == DynamicsKind.ONE_NORM
                   else None)
@@ -330,8 +325,7 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
         while True:
             t = step * spec.h
             try:
-                sol = solve_commodities(instance, x, grounding=grounding,
-                                        solve_tol=solve_tol)
+                sol = solve_commodities(instance, x, solve_tol=solve_tol)
             except SolverError as exc:
                 traj.status = TerminalStatus.SOLVER_FAILURE
                 traj.message = f"step {step}: {exc}"
@@ -356,20 +350,9 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
                 if diag.record_gap:
                     from .analysis import certificate
                     gap = certificate(instance, x, sol).gap
-                ratio = float("nan")
-                if is_incidence and instance.k > 0:
-                    # |Q| / ||b||_1 formed in place, a block of edges at a time
-                    block_max = []
-                    for rows, block in sol.lambda_blocks():
-                        np.abs(block, out=block)
-                        block *= x[rows, None]
-                        block /= b1_safe
-                        block_max.append(block.max())
-                    ratio = float(np.max(block_max))
                 traj.records.append(TrajectoryRecord(
                     t=t, x=x.copy(), lyapunov=lyap, cost=cost, energy=energy,
-                    residual=residual, gap=gap, slack_from_prev=slack_accum,
-                    flow_ratio=ratio))
+                    residual=residual, gap=gap, slack_from_prev=slack_accum))
                 slack_accum = 0.0
             if cost_term > bound * (1.0 + 1e-9):
                 raise DivergenceError(

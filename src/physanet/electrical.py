@@ -17,21 +17,22 @@ from ``G`` and ``W`` in ``s`` columns; the k-column ``P``, ``Q`` and
 ``Lambda`` are formed only when asked for.
 
 The grounded Laplacian's pattern is fixed per grounding, so its layout
-is computed once.  A graph's nodes are ordered by reverse Cuthill-McKee
-from a pseudo-peripheral level set (George and Liu), which narrows the
-band of the eight-neighbour grids by a quarter to a third against scipy's
-``reverse_cuthill_mckee``, and every step assembles the matrix straight
-into LAPACK band storage and factors it by banded Cholesky; a general
-matrix takes the full width.  Wide bands with many right-hand sides are
-solved block by block with level-3 BLAS (``_BandBlocks``), the others by
-LAPACK's column-by-column ``pbtrs``.  A graph whose band is wider than
-``MAX_BANDWIDTH`` (a hub, long edges) is ordered by symmetric minimum
-degree instead, and every step factors the reordered CSC matrix by sparse
-LU on its diagonal, without pivoting, which for a symmetric positive
-definite matrix is as stable as Cholesky.  Iterative refinement works on
-the residual in incidence form, ``A X (C^-1 A^T G) - U``, on a graph one
-sparse product with the capacities folded into ``A``'s entries, which also
-serves the final check.
+is computed once, by the instance's ``_Solver`` for that plan, which also
+keeps the demand basis and one pool of per-solve workspaces.  A graph's
+nodes are ordered by reverse Cuthill-McKee from a pseudo-peripheral level
+set (George and Liu), which narrows the band of the eight-neighbour grids
+by a quarter to a third against scipy's ``reverse_cuthill_mckee``, and
+every step assembles the matrix straight into LAPACK band storage and
+factors it by banded Cholesky; a general matrix takes the full width.
+Wide bands with many right-hand sides are solved block by block with
+level-3 BLAS (``_BandBlocks``), the others by LAPACK's column-by-column
+``pbtrs``.  A graph whose band is wider than ``MAX_BANDWIDTH`` (a hub,
+long edges) is ordered by symmetric minimum degree instead, and every step
+factors the reordered CSC matrix by sparse LU on its diagonal, without
+pivoting, which for a symmetric positive definite matrix is as stable as
+Cholesky.  Iterative refinement works on the residual in incidence form,
+``A X (C^-1 A^T G) - U``, on a graph one sparse product with the
+capacities folded into ``A``'s entries, which also serves the final check.
 
 Each step's BLAS calls are small, so ``dynamics.run`` integrates with every
 OpenBLAS in the process set to one thread (``_single_threaded_blas``).
@@ -89,12 +90,11 @@ INNER_TOL_FACTOR = 0.1
 
 # ``FlowSolution.lambda_blocks`` forms ``Lambda = drops W`` in blocks of
 # edge rows of about this many bytes, ``2**18 // (8 k)`` rows, so no m x k
-# array is made.  One-norm drop norms / record-time flow ratio, one OpenBLAS
-# thread on a 2-vCPU VM (ms, best of 7 x 50 calls; whole m x k array, then
-# blocks of 64, 128, 256, 512 KB, 1 and 2 MB): 393-node grid (m = 1,447,
-# k = 93) 0.94/0.45, 0.30/0.50, 0.26/0.49, 0.24/0.46, 0.28/0.48,
-# 0.28/0.47, 0.27/0.47; 1,569-node grid (m = 6,028, k = 88) 3.03/2.02,
-# 1.11/1.91, 0.93/1.84, 0.87/1.74, 0.99/1.82, 0.97/1.75, 1.06/1.82.
+# array is made.  One-norm drop norms, one OpenBLAS thread on a 2-vCPU VM
+# (ms, best of 7 x 50 calls; whole m x k array, then blocks of 64, 128,
+# 256, 512 KB, 1 and 2 MB): 393-node grid (m = 1,447, k = 93) 0.94, 0.30,
+# 0.26, 0.24, 0.28, 0.28, 0.27; 1,569-node grid (m = 6,028, k = 88) 3.03,
+# 1.11, 0.93, 0.87, 0.99, 0.97, 1.06.
 ROW_BLOCK_BYTES = 2 ** 18
 
 # The orthonormal demand basis is kept when it reproduces every demand
@@ -242,11 +242,14 @@ def _basis_error(U: np.ndarray, W: np.ndarray, B: np.ndarray) -> np.ndarray:
             / np.maximum(np.linalg.norm(B / scale, axis=0), 1e-300))
 
 
-class _GroundedSystem:
-    """The grounded Laplacian ``L(x)[keep][:, keep]`` for one grounding plan.
+class _Solver:
+    """The demand basis, the residual check's scales, the layout of the
+    grounded Laplacian ``L(x)[keep][:, keep]`` and a pool of workspaces,
+    for one instance and grounding plan.
 
-    The layout the solver factors is fixed when the system is built, from
-    the pattern alone.  ``keep`` and ``rhs`` list the grounded nodes in
+    The instance keeps it (``_solver``), and it holds no reference back, so
+    the instance is freed with its last user.  The layout is fixed from the
+    pattern alone.  ``keep`` and ``rhs`` list the grounded nodes in
     elimination order, and ``grounded`` the pinned ones.
 
     - Band (the default): incidence instances order the nodes by
@@ -258,23 +261,55 @@ class _GroundedSystem:
       ``BLOCKED_SOLVE_MIN_COLUMNS`` right-hand sides is padded to whole
       ``b x b`` blocks and solved by ``_BandBlocks``; the others by LAPACK
       ``pbtrs``.  General matrices keep their node order and take the full
-      width, ``b = size - 1``, and ``pbtrs``.  The band is factored and
-      solved in a ``_BandWorkspace``, built once and then taken from and
-      handed back to the system's idle ones.
+      width, ``b = size - 1``, and ``pbtrs``.
     - Sparse LU (``splu``): an incidence system whose half-bandwidth
       ``b`` exceeds ``MAX_BANDWIDTH`` is ordered by symmetric minimum
       degree instead and refilled into a fixed CSC pattern.
+
+    A workspace holds a factor, its solve buffers and, on a graph, ``A X``
+    (a new ``A X`` costs 20-30 us, a fifth of a bow-tie step).  ``factor``
+    takes one from the pool and ``release`` hands it back, so solves that
+    run at once in several threads never share one.
     """
 
-    def __init__(self, instance: Instance, nodes: tuple[int, ...], U: np.ndarray):
+    def __init__(self, instance: Instance, nodes: tuple[int, ...]):
         n, m = instance.n, instance.m
+        self.A, self.c = instance.A, instance.c
+        # C^-1 A^T: drops per unit cost come from one product.
+        if instance.is_incidence:
+            self.AT = instance.A.T.tocsr()
+            self.AT.data /= np.repeat(instance.c, np.diff(self.AT.indptr))
+        else:
+            self.AT = instance.A.T / instance.c[:, None]
+        U, self.W, self.basis_error = _demand_basis(instance)
+        # Zero rows change no column norm or maximum of B or U.
+        B = instance.B[np.any(instance.B != 0, axis=1)]
+        # The residual check reads squared norms, which underflow for a
+        # demand of about 1e-150; columns of U (and so of the residual) and
+        # of B scaled by powers of two keep them in range and, being exact,
+        # change nothing for other demands.  Without a column out of range
+        # the scaling is skipped.
+        # U is zero outside the terminals' rows.
+        self.terminals = np.flatnonzero(np.any(U != 0, axis=1))
+        self.U_terminals = U[self.terminals]
+        u_scale, b_scale = _column_scale(self.U_terminals), _column_scale(B)
+        if np.all(u_scale == 1.0) and np.all(b_scale == 1.0):
+            self.residual_scale, self.check_W = None, self.W
+        else:
+            self.residual_scale = u_scale
+            self.check_W = self.W * (b_scale / u_scale[:, None])
+        self.b_scale = np.maximum(np.linalg.norm(B * b_scale, axis=0), 1e-300)
+        self.inner_target = INNER_TOL_FACTOR * np.maximum(
+            np.linalg.norm(self.U_terminals * u_scale, axis=0), 1e-300)
+        self._targets: dict[float, np.ndarray] = {}
+
         self.grounded = np.array(nodes, dtype=np.intp)
         keep = np.setdiff1d(np.arange(n), self.grounded)
         size = self.size = keep.size
         self.columns = U.shape[1]
         self.splu, self.blocked = False, False
         self.pad = np.zeros(0, dtype=np.intp)
-        self._idle: list[_BandWorkspace] = []
+        self._idle: list[_BandWorkspace | _LUWorkspace] = []
         if not instance.is_incidence:
             self.A_keep = instance.A[keep]
             self.width = size  # b = size - 1
@@ -329,47 +364,79 @@ class _GroundedSystem:
         # pickle would detach from each other; a copy builds its own.
         return {**self.__dict__, "_idle": []}
 
-    def factor(self, w: np.ndarray):
-        """Factor the system at conductances ``w``.
+    def factor(self, x: np.ndarray):
+        """A workspace with the system factored at capacities ``x``.
 
-        Returns the factor, whose ``solve(R)`` takes right-hand sides in the
-        order of ``keep``; hand it back with ``release`` when its last solve
-        is used.  The matrix is symmetric positive definite: the band takes
-        Cholesky, and sparse LU takes the diagonal pivots in the fixed
-        order, which for such a matrix is as stable as Cholesky.
+        Its ``solve(R)`` takes right-hand sides in the order of ``keep``,
+        and on a graph its ``AX`` holds ``A X``; hand it back with
+        ``release`` when its last solve is used.  The matrix is symmetric
+        positive definite: the band takes Cholesky, and sparse LU takes the
+        diagonal pivots in the fixed order, which for such a matrix is as
+        stable as Cholesky.
         """
-        if self.splu:
-            Lr = sp.csc_matrix((self.assemble @ w, self.indices, self.indptr),
-                               shape=(self.size, self.size))
-            try:
-                return spla.splu(Lr, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                                 options={"SymmetricMode": True})
-            except RuntimeError as exc:
-                raise SolverError(f"sparse factorization failed: {exc}") from exc
         try:
             space = self._idle.pop()
         except IndexError:
-            space = (_BandBlocks(self.size, self.width - 1, self.columns) if self.blocked
-                     else _BandWorkspace(self.size, self.width, self.size))
-        flat = space.flat
-        flat.fill(0.0)
-        if self.A_keep is None:
-            flat[self.slot] = self.assemble @ w
+            AX = self.A.copy() if self.A_keep is None else None
+            space = (_LUWorkspace(AX) if self.splu
+                     else _BandBlocks(self.size, self.width - 1, self.columns, AX)
+                     if self.blocked else _BandWorkspace(self.size, self.width, self.size, AX))
+        w = x / self.c
+        if self.splu:
+            space.solve = None  # the last factor is freed before the next is made
+            Lr = sp.csc_matrix((self.assemble @ w, self.indices, self.indptr),
+                               shape=(self.size, self.size))
+            try:
+                space.solve = spla.splu(Lr, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                                        options={"SymmetricMode": True}).solve
+            except RuntimeError as exc:
+                self._idle.append(space)
+                raise SolverError(f"sparse factorization failed: {exc}") from exc
         else:
-            flat[self.slot] = ((self.A_keep * w) @ self.A_keep.T).ravel()[self.src]
-        flat[self.pad] = 1.0
-        info = scipy.linalg.lapack.dpbtrf(space.ab, 1, self.width, 1)[1]
-        if info:
-            self._idle.append(space)
-            raise SolverError(f"grounded Laplacian is not positive definite: "
-                              f"{info}-th leading minor not positive definite")
-        space.load()
+            flat = space.flat
+            flat.fill(0.0)
+            if self.A_keep is None:
+                flat[self.slot] = self.assemble @ w
+            else:
+                flat[self.slot] = ((self.A_keep * w) @ self.A_keep.T).ravel()[self.src]
+            flat[self.pad] = 1.0
+            info = scipy.linalg.lapack.dpbtrf(space.ab, 1, self.width, 1)[1]
+            if info:
+                self._idle.append(space)
+                raise SolverError(f"grounded Laplacian is not positive definite: "
+                                  f"{info}-th leading minor not positive definite")
+            space.load()
+        if space.AX is not None:
+            np.multiply(self.A.data, x[self.A.indices], out=space.AX.data)
         return space
 
-    def release(self, factor) -> None:
-        """Hand back what ``factor`` returned; a band workspace becomes idle."""
-        if not self.splu:
-            self._idle.append(factor)
+    def release(self, space) -> None:
+        """Hand back a workspace ``factor`` returned; it becomes idle."""
+        self._idle.append(space)
+
+    def refinement_target(self, solve_tol: float) -> np.ndarray:
+        """Squared column norms of a residual that ends refinement, in the
+        scale of the checked residual; computed once per tolerance."""
+        target = self._targets.get(solve_tol)
+        if target is None:
+            target = self._targets[solve_tol] = (self.inner_target * solve_tol) ** 2
+        return target
+
+
+def _solver(instance: Instance, grounding: GroundingPlan | None = None) -> _Solver:
+    """The instance's solver for ``grounding``, built on first use and kept
+    on the instance; the key ``None`` holds the default plan's, which is
+    found once."""
+    solvers = getattr(instance, "_electrical_solvers", None)
+    if solvers is None:
+        solvers = {}
+        object.__setattr__(instance, "_electrical_solvers", solvers)
+    key = None if grounding is None else grounding.nodes
+    solver = solvers.get(key)
+    if solver is None:
+        nodes = default_grounding(instance).nodes if key is None else key
+        solver = solvers[key] = _Solver(instance, nodes)
+    return solver
 
 
 # LAPACK and BLAS routines of the band solves, called with positional
@@ -378,18 +445,25 @@ _pbtrs = scipy.linalg.lapack.dpbtrs
 _trsm, _gemm = scipy.linalg.blas.dtrsm, scipy.linalg.blas.dgemm
 
 
+class _LUWorkspace:
+    """``A X`` of a sparse-LU solve, and ``solve`` of its factor."""
+
+    def __init__(self, AX: sp.csr_matrix):
+        self.AX, self.solve = AX, None
+
+
 class _BandWorkspace:
-    """Buffers of one band factor and its solves; a system keeps one for
-    each of its solves that runs at the same time.
+    """Buffers of one band factor and its solves, and ``A X`` of a graph
+    (``None`` for a general matrix).
 
     ``ab`` is LAPACK's lower band storage ``(width, padded)`` in Fortran
     order, ``flat`` the same memory as one vector with ``ab[i, j]`` at
-    ``j * width + i``.  The system fills ``flat`` and ``pbtrf`` overwrites
+    ``j * width + i``.  The solver fills ``flat`` and ``pbtrf`` overwrites
     it with the factor, which ``pbtrs`` then reads column by column.
     """
 
-    def __init__(self, size: int, width: int, padded: int):
-        self.size = size
+    def __init__(self, size: int, width: int, padded: int, AX: sp.csr_matrix | None = None):
+        self.AX, self.size = AX, size
         self.flat = np.zeros(width * padded)
         self.ab = self.flat.reshape(padded, width).T
 
@@ -423,10 +497,10 @@ class _BandBlocks(_BandWorkspace):
         q = max(b, 1)
         return -(-size // q) * q
 
-    def __init__(self, size: int, b: int, columns: int):
+    def __init__(self, size: int, b: int, columns: int, AX: sp.csr_matrix | None = None):
         q = max(b, 1)
         padded = self.padded_size(size, b)
-        super().__init__(size, b + 1, padded)
+        super().__init__(size, b + 1, padded, AX)
         self.count = count = padded // q
         below = max(count - 1, 0)
         flat, step = self.flat, self.flat.itemsize
@@ -570,93 +644,6 @@ def _csc_pattern(rows: np.ndarray, cols: np.ndarray, size: int):
     return slot, (keys % size).astype(np.int32), indptr.astype(np.int32)
 
 
-class _Context:
-    """Per-instance precomputation shared by repeated solves.
-
-    It is cached on the instance and holds no reference back to it, so the
-    instance is freed with its last user.
-    """
-
-    def __init__(self, instance: Instance):
-        # C^-1 A^T: drops per unit cost come from one product.
-        if instance.is_incidence:
-            self.AT = instance.A.T.tocsr()
-            self.AT.data /= np.repeat(instance.c, np.diff(self.AT.indptr))
-        else:
-            self.AT = instance.A.T / instance.c[:, None]
-        self.U, self.W, self.basis_error = _demand_basis(instance)
-        # Zero rows change no column norm or maximum of B or U.
-        B = instance.B[np.any(instance.B != 0, axis=1)]
-        # The residual check reads squared norms, which underflow for a
-        # demand of about 1e-150; columns of U (and so of the residual) and
-        # of B scaled by powers of two keep them in range and, being exact,
-        # change nothing for other demands.  Without a column out of range
-        # the scaling is skipped.
-        # U is zero outside the terminals' rows.
-        self.terminals = np.flatnonzero(np.any(self.U != 0, axis=1))
-        self.U_terminals = self.U[self.terminals]
-        u_scale, b_scale = _column_scale(self.U_terminals), _column_scale(B)
-        if np.all(u_scale == 1.0) and np.all(b_scale == 1.0):
-            self.residual_scale, self.check_W = None, self.W
-        else:
-            self.residual_scale = u_scale
-            self.check_W = self.W * (b_scale / u_scale[:, None])
-        self.b_scale = np.maximum(np.linalg.norm(B * b_scale, axis=0), 1e-300)
-        self.inner_target = INNER_TOL_FACTOR * np.maximum(
-            np.linalg.norm(self.U_terminals * u_scale, axis=0), 1e-300)
-        self._targets: dict[float, np.ndarray] = {}
-        self._systems: dict[tuple[int, ...], _GroundedSystem] = {}
-        self._default_grounding: GroundingPlan | None = None
-        self._idle_AX: list[sp.csr_matrix] = []
-
-    def refinement_target(self, solve_tol: float) -> np.ndarray:
-        """Squared column norms of a residual that ends refinement, in the
-        scale of the checked residual; computed once per tolerance."""
-        target = self._targets.get(solve_tol)
-        if target is None:
-            target = self._targets[solve_tol] = (self.inner_target * solve_tol) ** 2
-        return target
-
-    def scaled_incidence(self, A: sp.csr_matrix, x: np.ndarray) -> sp.csr_matrix:
-        """``A X`` of a graph: each entry of ``A`` times its column's capacity.
-
-        The CSR buffer is taken from the idle ones, since building a new
-        matrix costs 20-30 us (a fifth of a bow-tie step), and handed back
-        by ``release``, so solves that run at once in several threads never
-        share one.
-        """
-        try:
-            AX = self._idle_AX.pop()
-        except IndexError:
-            AX = A.copy()
-        np.multiply(A.data, x[A.indices], out=AX.data)
-        return AX
-
-    def release(self, AX: sp.csr_matrix) -> None:
-        self._idle_AX.append(AX)
-
-    def default_grounding(self, instance: Instance) -> GroundingPlan:
-        """``default_grounding(instance)``, computed on first use."""
-        if self._default_grounding is None:
-            self._default_grounding = default_grounding(instance)
-        return self._default_grounding
-
-    def system(self, instance: Instance, grounding: GroundingPlan) -> _GroundedSystem:
-        system = self._systems.get(grounding.nodes)
-        if system is None:
-            system = _GroundedSystem(instance, grounding.nodes, self.U)
-            self._systems[grounding.nodes] = system
-        return system
-
-
-def _context(instance: Instance) -> _Context:
-    ctx = getattr(instance, "_electrical_context", None)
-    if ctx is None:
-        ctx = _Context(instance)
-        object.__setattr__(instance, "_electrical_context", ctx)
-    return ctx
-
-
 def assemble_laplacian(instance: Instance, x: np.ndarray, *,
                        grounding: GroundingPlan | None = None):
     """Weighted Laplacian ``A X C^-1 A^T`` (symmetric PSD, n x n).
@@ -768,10 +755,13 @@ def solve_commodities(instance: Instance, x: np.ndarray,
                       solve_tol: float = DEFAULT_SOLVE_TOL) -> FlowSolution:
     """Solve ``L(x) p_i = b_i`` for all commodities and derive flows.
 
-    One factorization of the grounded Laplacian serves every column of the
-    demand basis, followed by iterative refinement.  The pattern decides
-    the factorization, once per grounding plan: banded Cholesky, or sparse
-    LU for graphs whose band is wider than ``MAX_BANDWIDTH``.
+    The instance's solver for the grounding plan (the default plan when
+    none is given) factors the grounded Laplacian once into a workspace
+    from its pool; that factor serves every column of the demand basis,
+    followed by iterative refinement, and the workspace is handed back
+    when the refinement is done.  The pattern decides the factorization,
+    once per grounding plan: banded Cholesky, or sparse LU for graphs whose
+    band is wider than ``MAX_BANDWIDTH``.
 
     The returned quantities ``b^T p``, ``p^T L p`` and ``Q`` are independent
     of the grounding plan.  Raises :class:`SolverError` when the relative
@@ -779,25 +769,18 @@ def solve_commodities(instance: Instance, x: np.ndarray,
     """
     x = np.array(x, dtype=float)
     inst = instance
-    ctx = _context(inst)
-    if grounding is None:
-        grounding = ctx.default_grounding(inst)
-
-    W = ctx.W
     if inst.k == 0:
-        return FlowSolution(G=np.zeros(ctx.U.shape), W=W, drops=np.zeros((inst.m, 0)),
+        return FlowSolution(G=np.zeros((inst.n, 0)), W=np.eye(0), drops=np.zeros((inst.m, 0)),
                             x=x, energy_per_commodity=np.zeros(0),
                             residuals=np.zeros(0))
     if np.any(x < 0):
         raise ScenarioError("capacities must be nonnegative")
-    w = x / inst.c
-    system = ctx.system(inst, grounding)
-    factor = system.factor(w)
-    AX = ctx.scaled_incidence(inst.A, x) if inst.is_incidence else None
+    solver = _solver(inst, grounding)
+    space = solver.factor(x)
     try:
-        G = np.empty(ctx.U.shape)
-        G[system.grounded] = 0.0
-        G[system.keep] = factor.solve(system.rhs)
+        G = np.empty((inst.n, solver.columns))
+        G[solver.grounded] = 0.0
+        G[solver.keep] = space.solve(solver.rhs)
 
         # Up to two rounds of iterative refinement guard against
         # ill-conditioned states (capacities spread over many orders of
@@ -809,35 +792,33 @@ def solve_commodities(instance: Instance, x: np.ndarray,
         # column's capacity, exactly on its +-1 entries, so the product needs
         # no m x s temporary; U is subtracted on its nonzero rows only.  The
         # diagonal of each round's Gram matrix R^T R, of R's columns scaled
-        # as ``_Context`` says, holds the squared column norms the refinement
+        # as ``_Solver`` says, holds the squared column norms the refinement
         # reads.
-        target, scale = ctx.refinement_target(solve_tol), ctx.residual_scale
+        target, scale = solver.refinement_target(solve_tol), solver.residual_scale
         for rounds_left in (2, 1, 0):
-            drops = ctx.AT @ G
-            R = AX @ drops if AX is not None else inst.A @ (x[:, None] * drops)
-            R[ctx.terminals] -= ctx.U_terminals
+            drops = solver.AT @ G
+            R = space.AX @ drops if space.AX is not None else inst.A @ (x[:, None] * drops)
+            R[solver.terminals] -= solver.U_terminals
             Rs = R if scale is None else R * scale
             gram = Rs.T @ Rs
             if rounds_left == 0 or (gram.diagonal() <= target).all():
                 break
-            G[system.keep] -= factor.solve(R[system.keep])
+            G[solver.keep] -= space.solve(R[solver.keep])
     finally:
-        system.release(factor)
-        if AX is not None:
-            ctx.release(AX)
+        solver.release(space)
     # L(x) P - B = R W + (U W - B); the per-commodity norms of R W follow
     # from the Gram matrix, and the basis error bounds the second term.
-    residuals = (np.sqrt(np.maximum(_quadratic_forms(ctx.check_W, gram), 0.0)) / ctx.b_scale
-                 + ctx.basis_error)
+    residuals = (np.sqrt(np.maximum(_quadratic_forms(solver.check_W, gram), 0.0))
+                 / solver.b_scale + solver.basis_error)
     if not np.all(residuals <= solve_tol):  # a NaN residual fails too
         worst = int(np.argmax(residuals))
         raise SolverError(
             f"linear solve did not converge (commodity {worst}, "
             f"relative residual {residuals[worst]:.3e} > {solve_tol:.1e})",
-            residual=float(residuals[worst]), commodity=worst)
+            residual=float(residuals[worst]))
 
-    energy = _quadratic_forms(W, ctx.U_terminals.T @ G[ctx.terminals])
-    return FlowSolution(G=G, W=W, drops=drops, x=x,
+    energy = _quadratic_forms(solver.W, solver.U_terminals.T @ G[solver.terminals])
+    return FlowSolution(G=G, W=solver.W, drops=drops, x=x,
                         energy_per_commodity=energy, residuals=residuals)
 
 

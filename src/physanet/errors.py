@@ -18,12 +18,9 @@ class InfeasibleDemandError(ScenarioError):
 class SolverError(PhysanetError):
     """A linear solve did not reach the requested residual tolerance."""
 
-    def __init__(self, message: str, residual: float | None = None,
-                 commodity: int | None = None, step: int | None = None):
+    def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-        self.commodity = commodity
-        self.step = step
 
 
 class DivergenceError(PhysanetError):

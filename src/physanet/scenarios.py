@@ -156,9 +156,14 @@ def grid_region_scenario(polygon, spacing: float,
     fixed (polygon, spacing, seed).  The returned instance carries no
     demands yet; see :func:`instance_of_grid`.
     """
-    if spacing <= 0:
-        raise ScenarioError("spacing must be positive")
-    poly = tuple((float(x), float(y)) for x, y in polygon)
+    if not 0 < spacing < math.inf:
+        raise ScenarioError("spacing must be positive and finite")
+    try:
+        poly = tuple((float(x), float(y)) for x, y in polygon)
+    except (TypeError, ValueError):
+        raise ScenarioError("polygon vertices must be [x, y] pairs of numbers") from None
+    if not all(math.isfinite(v) for vertex in poly for v in vertex):
+        raise ScenarioError("polygon vertices must be finite")
     if len(poly) < 3:
         raise ScenarioError("polygon needs at least 3 vertices")
     xs = [p[0] for p in poly]

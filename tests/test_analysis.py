@@ -7,7 +7,7 @@ import pytest
 
 import physanet as pn
 from physanet.dynamics import DynamicsKind
-from physanet.errors import ScenarioError
+from physanet.errors import ScenarioError, SolverError
 
 from conftest import random_graph_instance
 
@@ -127,6 +127,21 @@ def test_certificate_ring_converged(ring):
     assert cert.gap <= 1e-3
 
 
+def test_certificate_of_zero_drops():
+    # without demands every drop is zero and so is the certificate; zero
+    # drops paired with demands are degenerate
+    nodes, edges = ["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 1.0)]
+    empty = pn.graph_instance(nodes, edges, [])
+    x = np.ones(2)
+    sol = pn.solve_commodities(empty, x)
+    assert sol.drops.shape == (2, 0)
+    assert pn.certificate(empty, x, sol) == pn.Certificate(
+        primal=0.0, dual=0.0, lyapunov=1.0, gap=0.0, scaling=1.0)
+    loaded = pn.graph_instance(nodes, edges, [pn.DemandSpec("a", "c", 1.0)])
+    with pytest.raises(SolverError, match="degenerate potentials"):
+        pn.certificate(loaded, x, sol)
+
+
 def test_certificate_matches_shortest_path_single_commodity():
     rng = np.random.default_rng(31)
     for _ in range(3):
@@ -156,8 +171,7 @@ def test_gradient_vanishes_at_fixed_points(ring):
 
 
 def test_brute_force_ring_symmetric(ring):
-    value, xstar = pn.min_lyapunov_search(
-        ring.instance, pn.BruteForceConfig(mode="symmetric"))
+    value, xstar = pn.min_lyapunov_search(ring.instance, mode="symmetric")
     assert abs(value - SQRT6) <= 1e-9
     assert abs(xstar[0] - Z_STAR) <= 1e-6
 
@@ -170,31 +184,34 @@ def test_brute_force_two_edge_family_is_worse():
                              [pn.DemandSpec("a", "b", 1.0),
                               pn.DemandSpec("a", "c", 1.0),
                               pn.DemandSpec("b", "c", 1.0)])
-    value, xstar = pn.min_lyapunov_search(
-        inst, pn.BruteForceConfig(mode="symmetric"))
+    value, xstar = pn.min_lyapunov_search(inst, mode="symmetric")
     assert abs(value - 2 * math.sqrt(2)) <= 1e-8
     assert abs(xstar[0] - math.sqrt(2)) <= 1e-5
     assert value > SQRT6
 
 
 def test_brute_force_single_edge(single_edge):
-    value, xstar = pn.min_lyapunov_search(single_edge,
-                                          pn.BruteForceConfig(mode="full"))
+    value, xstar = pn.min_lyapunov_search(single_edge, mode="full")
     assert abs(value - 1.0) <= 1e-9
     assert abs(xstar[0] - 1.0) <= 1e-5
+    # with m <= 4 the default mode is the full search
+    auto_value, auto_x = pn.min_lyapunov_search(single_edge)
+    assert auto_value == value and np.array_equal(auto_x, xstar)
 
 
 def test_brute_force_full_matches_symmetric_on_ring(ring):
-    full_val = pn.brute_force_min_lyapunov(ring.instance,
-                                           pn.BruteForceConfig(mode="full"))
+    full_val = pn.brute_force_min_lyapunov(ring.instance, mode="full")
     assert abs(full_val - SQRT6) <= 1e-6
 
 
 def test_brute_force_dimension_guard():
     scen = pn.bowtie_scenario(8.0)
     with pytest.raises(ScenarioError):
-        pn.brute_force_min_lyapunov(scen.instance,
-                                    pn.BruteForceConfig(mode="full"))
+        pn.brute_force_min_lyapunov(scen.instance, mode="full")
+    with pytest.raises(ScenarioError, match="needs m <= 4"):
+        pn.brute_force_min_lyapunov(scen.instance)
+    with pytest.raises(ScenarioError, match="unknown brute-force mode"):
+        pn.brute_force_min_lyapunov(scen.instance, mode="nope")
 
 
 def test_relative_entropy():

@@ -355,6 +355,106 @@ def test_cli_bad_number_flags_are_config_errors(tmp_path, capsys, argv, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("run", "--record-every", "0"), "record_every must be at least 1"),
+    (("run", "--seed", "-1"), "--seed must be nonnegative, not -1"),
+    (("run", "--capacity-floor", "nan"),
+     "stop_tol and capacity_floor must be positive and finite"),
+    (("run", "--stop-tol", "nan"), "stop_tol and capacity_floor must be positive and finite"),
+    (("gen-scenario", "--kind", "grid", "--seed", "-2"), "--seed must be nonnegative, not -2"),
+    (("gen-scenario", "--kind", "grid", "--spacing", "nan"), "spacing must be positive and finite"),
+], ids=["record-every-zero", "run-seed-negative", "capacity-floor-nan", "stop-tol-nan",
+        "gen-scenario-seed-negative", "gen-scenario-spacing-nan"])
+def test_cli_bad_flag_values_are_config_errors(tmp_path, ring_path, capsys, argv, message):
+    if argv[0] == "run":
+        argv = (*argv, "--scenario", ring_path, "--max-steps", "50")
+    assert run_cli(*argv, "--out", tmp_path / "out") == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": message, "kind": "config"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("polygon, message", [
+    ([[0, 0], [1, "x"], [2, 2]], "polygon vertices must be [x, y] pairs of numbers"),
+    ([[0, 0], [1], [2, 2]], "polygon vertices must be [x, y] pairs of numbers"),
+    (5, "polygon vertices must be [x, y] pairs of numbers"),
+    ([[0, 0], [1, math.nan], [2, 2]], "polygon vertices must be finite"),
+], ids=["not-a-number", "not-a-pair", "not-a-list", "nan"])
+def test_cli_gen_scenario_bad_polygon_is_config_error(tmp_path, capsys, polygon, message):
+    path = tmp_path / "polygon.json"
+    path.write_text(json.dumps(polygon))
+    assert run_cli("gen-scenario", "--kind", "grid", "--polygon", path,
+                   "--out", tmp_path / "grid.json") == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": message, "kind": "config"}
+
+
+@pytest.mark.parametrize("state", [
+    {"x": [1.0, 2.0]},
+    {"x": [1.0, 2.0, 3.0, 4.0]},
+    {"x": [1.0, "a", 2.0]},
+    {"status": "converged", "steps": 3},
+    [1.0, 2.0, 3.0],
+    {"x": [1.0, -1.0, 1.0]},
+    {"x": [1.0, math.nan, 1.0]},
+], ids=["short", "long", "not-a-number", "missing", "not-an-object", "negative", "nan"])
+@pytest.mark.parametrize("command", ["certify", "export"])
+def test_cli_bad_run_dir_state_is_config_error(tmp_path, ring_path, capsys, command, state):
+    # certify and export read a run directory alike, and name the file
+    # whose x is not m finite, nonnegative numbers
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "scenario.json").write_bytes(ring_path.read_bytes())
+    (run_dir / "final_state.json").write_text(json.dumps(state))
+    argv = {"certify": ("certify", "--run-dir", run_dir),
+            "export": ("export", "--run-dir", run_dir, "--format", "svg")}[command]
+    assert run_cli(*argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": f"{run_dir / 'final_state.json'}: x must be a list of 3 "
+                            "finite, nonnegative numbers", "kind": "config"}
+    assert not (run_dir / "network.svg").exists()
+
+
+@pytest.mark.parametrize("data", [None, b"\xff\xfe{", b'{"x": ['],
+                         ids=["directory", "undecodable", "truncated"])
+@pytest.mark.parametrize("command", ["certify", "export", "polygon"])
+def test_cli_unreadable_json_input_is_config_error(tmp_path, ring_path, capsys, command, data):
+    # a run directory's final_state.json, or a --polygon file, that cannot
+    # be read or parsed is a config error naming the file
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "scenario.json").write_bytes(ring_path.read_bytes())
+    path = tmp_path / "poly.json" if command == "polygon" else run_dir / "final_state.json"
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    argv = {"certify": ("certify", "--run-dir", run_dir),
+            "export": ("export", "--run-dir", run_dir, "--format", "svg"),
+            "polygon": ("gen-scenario", "--kind", "grid", "--polygon", path,
+                        "--out", tmp_path / "grid.json")}[command]
+    assert run_cli(*argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["kind"] == "config" and err["error"].startswith(f"cannot read {path}: ")
+
+
+def test_cli_run_and_certify_without_demands(tmp_path, capsys):
+    # every solve of a scenario without demands is the k = 0 one: the
+    # capacities decay to the stop tolerance, and the certificate is zero
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"nodes": ["a", "b", "c"],
+                                "edges": [{"u": "a", "v": "b", "cost": 1.0},
+                                          {"u": "b", "v": "c", "cost": 1.0}]}))
+    out = tmp_path / "run"
+    assert run_cli("run", "--scenario", path, "--out", out, "--h", "0.5") == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "converged" and report["final"]["energy"] == 0.0
+    capsys.readouterr()
+    assert run_cli("certify", "--run-dir", out) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["primal"] == cert["dual"] == cert["gap"] == 0.0
+
+
 def test_cli_run_first_solve_failure_writes_state(tmp_path, ring_path,
                                                   monkeypatch, capsys):
     calls, trajs, _ = _count_solves(monkeypatch)

@@ -367,8 +367,8 @@ def test_grid_is_ordered_once_from_a_peripheral_level_set(monkeypatch):
         pn.solve_commodities(grid, 10.0 ** rng.uniform(-9, 1, size=grid.m))
         assert calls == {"dpbtrf": solves, "splu": 0}
     assert len(ordered) == 1
-    (system,) = pn.electrical._context(grid)._systems.values()
-    assert not system.splu and system.width - 1 <= 26
+    solver = pn.electrical._solver(grid)
+    assert not solver.splu and solver.width - 1 <= 26
 
 
 def test_grid_is_ordered_once_and_factored_on_the_diagonal(monkeypatch, factorization):
@@ -523,8 +523,7 @@ def test_blocked_solve_on_grounded_graphs(monkeypatch, shape):
     for kind, limit in (("lapack", math.inf), ("blocked", 0)):
         monkeypatch.setattr(pn.electrical, "BLOCKED_SOLVE_MIN_BANDWIDTH", limit)
         inst = build()
-        ctx = pn.electrical._context(inst)
-        system = ctx.system(inst, ctx.default_grounding(inst))
+        system = pn.electrical._solver(inst)
         assert system.blocked == (kind == "blocked")
         paths[kind] = inst, system
     inst, system = paths["blocked"]
@@ -536,7 +535,7 @@ def test_blocked_solve_on_grounded_graphs(monkeypatch, shape):
     rng = np.random.default_rng(4)
     for x in (rng.uniform(0.5, 2.0, size=inst.m), 10.0 ** rng.uniform(-9, 1, size=inst.m)):
         L = pn.assemble_laplacian(inst, x).toarray()[np.ix_(system.keep, system.keep)]
-        G = {kind: s.factor(x / inst.c).solve(s.rhs).copy() for kind, (_, s) in paths.items()}
+        G = {kind: s.factor(x).solve(s.rhs).copy() for kind, (_, s) in paths.items()}
         for got in G.values():
             backward = np.abs(L @ got - system.rhs).max() / (np.abs(L).max() * np.abs(got).max())
             assert backward <= 1e-14
@@ -558,7 +557,7 @@ def test_blocked_solve_starts_at_the_crossover(width):
     # columns, the band at the crossover is solved by blocks, below it by LAPACK
     inst = _lattice(width, 30, pairs=pn.electrical.BLOCKED_SOLVE_MIN_COLUMNS)
     sol = pn.solve_commodities(inst, np.ones(inst.m))
-    (system,) = pn.electrical._context(inst)._systems.values()
+    system = pn.electrical._solver(inst)
     assert system.width - 1 == width and sol.G.shape[1] >= pn.electrical.BLOCKED_SOLVE_MIN_COLUMNS
     assert system.blocked == (width >= pn.electrical.BLOCKED_SOLVE_MIN_BANDWIDTH)
     L = pn.assemble_laplacian(inst, np.ones(inst.m))
@@ -652,9 +651,9 @@ def test_tiny_demand_keeps_its_accuracy(tail, amount):
     # rotated basis must neither drop it nor round it away, and the
     # residual check must see what the basis leaves of it
     inst, x, sol = _solve_with_last_demand(pn.DemandSpec(tail, "r", amount))
-    ctx = pn.electrical._context(inst)
-    assert np.all(ctx.basis_error <= pn.electrical.BASIS_TOL)
-    assert np.all(ctx.basis_error <= sol.residuals)
+    solver = pn.electrical._solver(inst)
+    assert np.all(solver.basis_error <= pn.electrical.BASIS_TOL)
+    assert np.all(solver.basis_error <= sol.residuals)
     _assert_matches_pinv_oracle(inst, x, sol)
     if amount == 1e-17:
         # below rounding level of the others: the exact basis U = B
@@ -672,39 +671,43 @@ def test_capacity_scaled_residual_is_exact_on_graphs(seed, shared):
             else random_graph_instance(rng, n_max=30, k_max=4))
     x = 10.0 ** rng.uniform(-3, 1, size=inst.m)
     sol = pn.solve_commodities(inst, x)
-    ctx = pn.electrical._context(inst)
-    R = inst.A @ (x[:, None] * sol.drops) - ctx.U
+    solver = pn.electrical._solver(inst)
+    R = inst.A @ (x[:, None] * sol.drops)
+    R[solver.terminals] -= solver.U_terminals  # U is zero off the terminals
     expected = np.sqrt(np.maximum(pn.electrical._quadratic_forms(sol.W, R.T @ R), 0.0))
-    assert np.array_equal(sol.residuals, expected / ctx.b_scale + ctx.basis_error)
+    assert np.array_equal(sol.residuals, expected / solver.b_scale + solver.basis_error)
 
 
-def test_solves_at_once_do_not_share_the_scaled_incidence():
-    # a solve takes its A X buffer from the instance's idle ones; one that
-    # is still in use (say, by a solve in another thread) is left alone
-    rng = np.random.default_rng(5)
-    inst = random_graph_instance(rng, n_max=12, k_max=4)
-    ctx = pn.electrical._context(inst)
-    in_use = ctx.scaled_incidence(inst.A, rng.uniform(0.5, 2.0, size=inst.m))
-    entries = in_use.data.copy()
-    pn.solve_commodities(inst, rng.uniform(0.5, 2.0, size=inst.m))
-    assert np.array_equal(in_use.data, entries)
-    ctx.release(in_use)
-    pn.solve_commodities(inst, np.ones(inst.m))
-    assert np.array_equal(in_use.data, inst.A.data)
+def test_solves_at_once_do_not_share_the_scaled_incidence(factorization):
+    # each workspace, band or sparse LU, carries its own A X buffer: one
+    # still in use (say, by a solve in another thread) is left alone, and a
+    # released one is reused
+    for kind in ("band", "splu"):
+        factorization(kind)
+        rng = np.random.default_rng(5)
+        inst = random_graph_instance(rng, n_max=12, k_max=4)
+        solver = pn.electrical._solver(inst)
+        assert solver.splu == (kind == "splu")
+        in_use = solver.factor(rng.uniform(0.5, 2.0, size=inst.m))
+        entries = in_use.AX.data.copy()
+        pn.solve_commodities(inst, rng.uniform(0.5, 2.0, size=inst.m))
+        assert np.array_equal(in_use.AX.data, entries)
+        solver.release(in_use)
+        pn.solve_commodities(inst, np.ones(inst.m))
+        assert np.array_equal(in_use.AX.data, inst.A.data)
 
 
 @pytest.mark.parametrize("kind", ["band", "blocked"])
 def test_solves_at_once_do_not_share_a_band_workspace(factorization, kind):
-    # a solve takes its band workspace from the system's idle ones; one that
+    # a solve takes its band workspace from the solver's idle ones; one that
     # is still in use (say, by a solve in another thread) is left alone,
     # its factor and its last solve both
     factorization(kind)
     rng = np.random.default_rng(5)
     inst = random_graph_instance(rng, n_max=12, k_max=4)
-    ctx = pn.electrical._context(inst)
-    system = ctx.system(inst, ctx.default_grounding(inst))
+    system = pn.electrical._solver(inst)
     assert system.blocked == (kind == "blocked")
-    in_use = system.factor(rng.uniform(0.5, 2.0, size=inst.m) / inst.c)
+    in_use = system.factor(rng.uniform(0.5, 2.0, size=inst.m))
     solved = in_use.solve(system.rhs)
     entries, values = in_use.flat.copy(), solved.copy()
     pn.solve_commodities(inst, rng.uniform(0.5, 2.0, size=inst.m))
@@ -764,8 +767,8 @@ def test_a_second_solve_leaves_the_first_solution_alone(factorization, kind):
 @pytest.mark.parametrize("kind", ["band", "blocked", "splu"])
 def test_a_copied_solved_instance_solves_like_the_original(factorization, kind,
                                                             copy_instance):
-    # a copy carries the solve context but builds its own band workspaces,
-    # whose arrays share one buffer
+    # a copy carries the solvers but builds its own workspaces, whose band
+    # arrays share one buffer
     factorization(kind)
     rng = np.random.default_rng(7)
     inst = random_graph_instance(rng, n_max=30, k_max=4)
