@@ -224,13 +224,6 @@ def min_lyapunov_search(instance: Instance, *,
     return best, x
 
 
-def brute_force_min_lyapunov(instance: Instance, *, mode: str = "auto") -> float:
-    """Minimum Lyapunov value over ``x >= BRUTE_FORCE_LO`` found by
-    exhaustive search."""
-    value, _ = min_lyapunov_search(instance, mode=mode)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Mirror-descent convergence bound
 

@@ -12,12 +12,15 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dynamics, electrical, render, scenarios
-from .errors import DivergenceError, PhysanetError, ScenarioError, SolverError
+from .errors import PhysanetError, ScenarioError
 from .model import Scenario, load_scenario, read_scenario_file, scenario_document
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+# The stderr kind of each ending that fails a run.
+_FAILED_KIND = {dynamics.TerminalStatus.SOLVER_FAILURE: "solver",
+                dynamics.TerminalStatus.DIVERGED: "runtime"}
 
 
 def _error_json(kind: str, message: str) -> None:
@@ -134,18 +137,13 @@ def _cmd_run(args) -> int:
     source = read_scenario_file(args.scenario)
     scenario = load_scenario(source)
     outdir = Path(args.out)
-    try:
-        x0, traj = _run_dynamics(scenario, args, record_gap=args.record_gap)
-    except DivergenceError as exc:
-        # The state where the bound was crossed; the error still fails the run.
-        _write_state(outdir, source, exc.x, "diverged", exc.step)
-        raise
+    x0, traj = _run_dynamics(scenario, args, record_gap=args.record_gap)
     # A failed first solve leaves no record; the state is then x0.
     _write_state(outdir, source, traj.final_x if traj.records else x0,
                  traj.status.value, traj.steps)
     traj.write_csv(outdir / "trajectory.csv")
-    if traj.status == dynamics.TerminalStatus.SOLVER_FAILURE:
-        _error_json("solver", traj.message)
+    if traj.status in _FAILED_KIND:
+        _error_json(_FAILED_KIND[traj.status], traj.message)
         return EXIT_RUNTIME
 
     final, sol = traj.final, traj.final_solution
@@ -187,8 +185,8 @@ def _cmd_sweep(args) -> int:
         scenario = scenarios.bowtie_scenario(L)
         try:
             _, traj = _run_dynamics(scenario, args)
-            if traj.status == dynamics.TerminalStatus.SOLVER_FAILURE:
-                raise SolverError(traj.message)
+            if traj.status in _FAILED_KIND:
+                raise PhysanetError(traj.message)
             x, sol = traj.final_x, traj.final_solution
             idx = scenarios.bowtie_edge_indices(scenario.instance)
             q_t = float(sol.Q[idx["top"], 0])
@@ -212,6 +210,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if not 0 <= args.gap_tol < math.inf:
+        raise ScenarioError(f"--gap-tol must be nonnegative and finite, not {args.gap_tol}")
     if args.run_dir:
         scenario, x = _read_run_dir(Path(args.run_dir))
         sol = electrical.solve_commodities(scenario.instance, x,
@@ -221,8 +221,8 @@ def _cmd_certify(args) -> int:
             raise ScenarioError("certify needs --scenario or --run-dir")
         scenario = load_scenario(Path(args.scenario))
         _, traj = _run_dynamics(scenario, args)
-        if traj.status == dynamics.TerminalStatus.SOLVER_FAILURE:
-            _error_json("solver", traj.message)
+        if traj.status in _FAILED_KIND:
+            _error_json(_FAILED_KIND[traj.status], traj.message)
             return EXIT_RUNTIME
         x, sol = traj.final_x, traj.final_solution
     cert = analysis.certificate(scenario.instance, x, sol)

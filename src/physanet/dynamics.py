@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, ScenarioError, SolverError
+from .errors import ScenarioError, SolverError
 from .electrical import FlowSolution, _single_threaded_blas, solve_commodities
-from .model import CapacityState, Instance, max_flow_bound
+from .model import Instance, max_flow_bound
 
 
 class DynamicsKind(str, enum.Enum):
@@ -145,6 +145,7 @@ class TerminalStatus(str, enum.Enum):
     CONVERGED = "converged"
     MAX_STEPS = "max-steps"
     SOLVER_FAILURE = "solver-failure"
+    DIVERGED = "diverged"
 
 
 @dataclass(frozen=True)
@@ -170,6 +171,7 @@ class Trajectory:
     records: list[TrajectoryRecord] = field(default_factory=list)
     status: TerminalStatus = TerminalStatus.MAX_STEPS
     steps: int = 0
+    # "step N: ..." for a solver failure or divergence; None otherwise.
     message: str | None = None
     # The solve at final_x; None when the run ends in a solver failure.
     final_solution: FlowSolution | None = None
@@ -272,13 +274,23 @@ def fixed_point_residual(instance: Instance, x: np.ndarray,
 def run(instance: Instance, x0, spec: DynamicsSpec,
         diagnostics: DiagnosticsConfig | None = None, *,
         solve_tol: float = 1e-10) -> Trajectory:
-    """Integrate the dynamics until the fixed-point residual drops below
-    ``spec.stop_tol`` or ``spec.max_steps`` Euler steps have been taken.
+    """Integrate the dynamics from the capacity array ``x0`` until one of
+    the endings of :class:`TerminalStatus`, which ``status`` names:
+
+    * ``CONVERGED``: the fixed-point residual drops below ``spec.stop_tol``;
+    * ``MAX_STEPS``: ``spec.max_steps`` Euler steps have been taken;
+    * ``SOLVER_FAILURE``: a solve misses ``solve_tol``;
+    * ``DIVERGED``: the step's cost term leaves a bound the dynamics
+      cannot leave (below).
+
+    Each ending sets ``steps`` to the step it happened at, and the two
+    failures set ``message`` to ``"step N: ..."``.  Every ending but a
+    solver failure records that step's state, also between record points,
+    and keeps its solve as ``final_solution``.  Neither failure raises; a
+    bad ``x0`` raises :class:`ScenarioError`.
 
     Capacities stay strictly positive throughout (multiplicative shrinkage
-    plus an explicit floor) and the run aborts with
-    :class:`DivergenceError` at the first step whose cost term leaves a
-    bound the dynamics cannot leave:
+    plus an explicit floor).  The divergence bound is
 
     * one-norm: ``c^T max(x0, sum_i f_i)``, with ``f_i`` the per-commodity
       bound of :func:`~physanet.model.max_flow_bound`.  The step is
@@ -290,8 +302,7 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
     * every other kind: twice the starting value of its Lyapunov function,
       which decreases along the continuous dynamics.
 
-    The returned trajectory holds the solve at its final state; every
-    solve takes the instance's default grounding plan.
+    Every solve takes the instance's default grounding plan.
 
     The steps run with every loaded OpenBLAS set to one thread, and the
     previous thread counts are restored on return or raise.  Those counts
@@ -299,10 +310,7 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
     not thread-safe in that respect.
     """
     diag = diagnostics or DiagnosticsConfig()
-    if isinstance(x0, CapacityState):
-        x = x0.x.astype(float).copy()
-    else:
-        x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float).copy()
     if x.shape != (instance.m,):
         raise ScenarioError(f"x0 must have length {instance.m}")
     if not np.all((x > 0) & (x < np.inf)):
@@ -323,14 +331,12 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
     step = 0
     with _single_threaded_blas():
         while True:
-            t = step * spec.h
             try:
                 sol = solve_commodities(instance, x, solve_tol=solve_tol)
             except SolverError as exc:
                 traj.status = TerminalStatus.SOLVER_FAILURE
                 traj.message = f"step {step}: {exc}"
-                traj.steps = step
-                return traj
+                break
             energy = float(sol.energy_per_commodity.sum())
             cost = float(c @ x)
             # Cost part of the kind-matched Lyapunov functional.
@@ -343,27 +349,27 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
             if bound is None:
                 bound = 2.0 * lyap
 
-            record_now = (step % diag.record_every == 0)
-            done = residual <= spec.stop_tol or step >= spec.max_steps
-            if record_now or done:
+            diverged = cost_term > bound * (1.0 + 1e-9)
+            done = diverged or residual <= spec.stop_tol or step >= spec.max_steps
+            if step % diag.record_every == 0 or done:
                 gap = None
                 if diag.record_gap:
                     from .analysis import certificate
                     gap = certificate(instance, x, sol).gap
                 traj.records.append(TrajectoryRecord(
-                    t=t, x=x.copy(), lyapunov=lyap, cost=cost, energy=energy,
-                    residual=residual, gap=gap, slack_from_prev=slack_accum))
+                    t=step * spec.h, x=x.copy(), lyapunov=lyap, cost=cost,
+                    energy=energy, residual=residual, gap=gap,
+                    slack_from_prev=slack_accum))
                 slack_accum = 0.0
-            if cost_term > bound * (1.0 + 1e-9):
-                raise DivergenceError(
-                    f"step {step}: cost term {cost_term:.6g} "
-                    f"exceeds {bound_name} = {bound:.6g}", step=step, x=x.copy())
-            if done:
-                traj.status = (TerminalStatus.CONVERGED
-                               if residual <= spec.stop_tol else TerminalStatus.MAX_STEPS)
-                traj.steps = step
+            if done:  # the status stays MAX_STEPS unless set below
                 traj.final_solution = sol
-                return traj
+                if diverged:
+                    traj.status = TerminalStatus.DIVERGED
+                    traj.message = (f"step {step}: cost term {cost_term:.6g} "
+                                    f"exceeds {bound_name} = {bound:.6g}")
+                elif residual <= spec.stop_tol:
+                    traj.status = TerminalStatus.CONVERGED
+                break
 
             xdot = rhs(instance, x, sol, spec, norms=norms)
             # Second-order Euler error allowance for the Lyapunov decrease.
@@ -371,3 +377,5 @@ def run(instance: Instance, x0, spec: DynamicsSpec,
             slack_accum += 1e-10 * abs(lyap) + spec.h ** 2 * float(xdot @ xdot) * curvature
             x = euler_step(x, xdot, spec.h, spec.capacity_floor)
             step += 1
+    traj.steps = step
+    return traj

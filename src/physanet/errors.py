@@ -23,19 +23,6 @@ class SolverError(PhysanetError):
         self.residual = residual
 
 
-class DivergenceError(PhysanetError):
-    """A trajectory left the bounded domain implied by its starting state.
-
-    ``step`` is the Euler step at which the bound was crossed and ``x`` the
-    capacities there.
-    """
-
-    def __init__(self, message: str, step: int | None = None, x=None):
-        super().__init__(message)
-        self.step = step
-        self.x = x
-
-
 class PruningError(PhysanetError):
     """Pruning disconnected a demand pair."""
 

@@ -134,22 +134,6 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class CapacityState:
-    """A strictly positive capacity vector at simulation time ``t``."""
-
-    x: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1 or np.any(~np.isfinite(x)) or np.any(x <= 0):
-            raise ScenarioError("capacities must be a strictly positive vector")
-        if self.t < 0:
-            raise ScenarioError("time must be nonnegative")
-        object.__setattr__(self, "x", x)
-
-
-@dataclass(frozen=True)
 class DemandSpec:
     """Graph-layer demand: ``amount`` units between ``source`` and ``sink``."""
 
@@ -245,16 +229,6 @@ def _check_feasible(instance: Instance) -> None:
     bad = np.flatnonzero(excess > 0)
     if bad.size:
         raise InfeasibleDemandError(f"demand {bad[0]} {why}")
-
-
-def incidence_of_graph(nodes: Sequence[str],
-                       edges: Sequence[tuple[str, str]]) -> sp.csr_matrix:
-    """Node-arc incidence matrix (CSR): column +1 at the tail, -1 at the head.
-
-    The orientation is taken from the listed (tail, head) order; self-loops
-    are rejected since their column would be identically zero.
-    """
-    return _incidence_csr(_node_index(nodes), [e[0] for e in edges], [e[1] for e in edges])
 
 
 def graph_instance(nodes: Sequence[str],
@@ -397,11 +371,6 @@ def load_scenario(document: Mapping[str, Any] | bytes | str | Path) -> Scenario:
     if "A" in doc:
         return _load_matrix_scenario(doc)
     raise ScenarioError("scenario must contain either 'nodes' or 'A'")
-
-
-def load_instance(document: Mapping[str, Any] | bytes | str | Path) -> Instance:
-    """Load just the validated instance from a scenario document."""
-    return load_scenario(document).instance
 
 
 def read_scenario_file(path: str | Path) -> bytes:

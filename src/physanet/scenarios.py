@@ -109,9 +109,9 @@ class TerminalSet:
     hub: str | None = None
 
     def __post_init__(self):
-        if self.threshold <= 0:
+        if not self.threshold > 0:  # also refuses NaN
             raise ScenarioError("threshold must be positive")
-        if any(w <= 0 for _, w in self.terminals):
+        if not all(w > 0 for _, w in self.terminals):
             raise ScenarioError("terminal weights must be positive")
 
 
@@ -154,7 +154,7 @@ def grid_region_scenario(polygon, spacing: float,
     1.41 (diagonal) and an integer ``r`` drawn uniformly from [-3, 3], so
     no two parallel routes have exactly equal length.  Deterministic for a
     fixed (polygon, spacing, seed).  The returned instance carries no
-    demands yet; see :func:`instance_of_grid`.
+    demands yet; see :func:`grid_scenario`.
     """
     if not 0 < spacing < math.inf:
         raise ScenarioError("spacing must be positive and finite")
@@ -203,18 +203,15 @@ def grid_region_scenario(polygon, spacing: float,
     return grid, graph_instance(ids, edges, [])
 
 
-def instance_of_grid(grid: RegionGrid,
-                     demands: list[DemandSpec]) -> Instance:
-    return graph_instance(list(grid.node_ids), list(grid.edges), demands)
-
-
 def grid_scenario(grid: RegionGrid, demands: list[DemandSpec],
                   terminals: TerminalSet | None = None,
                   initial_capacity: float = 0.5,
                   name: str = "grid") -> Scenario:
     """Bundle a grid and its demands as a scenario (capacities 0.5 by default)."""
+    if not 0 < initial_capacity < math.inf:
+        raise ScenarioError("initial capacity must be positive and finite")
     term_ids = tuple(t for t, _ in terminals.terminals) if terminals else None
-    return Scenario(instance=instance_of_grid(grid, demands),
+    return Scenario(instance=graph_instance(list(grid.node_ids), list(grid.edges), demands),
                     initial_capacity=InitialCapacity(kind="constant",
                                                      value=initial_capacity),
                     name=name, layout=dict(grid.coords), terminals=term_ids)

@@ -108,7 +108,7 @@ def test_criterion_02_cost_equals_energy(ring, ring_runs):
         u, v = rng.choice(len(ids), size=2, replace=False)
         pairs.add((min(u, v), max(u, v)))
     demands = [pn.DemandSpec(ids[u], ids[v], 1.0) for u, v in sorted(pairs)]
-    inst = pn.instance_of_grid(grid, demands)
+    inst = pn.graph_instance(list(grid.node_ids), list(grid.edges), demands)
     spec = pn.DynamicsSpec(kind=K.TWO_NORM, h=0.5, stop_tol=1e-6,
                            max_steps=120_000)
     traj = run_and_register("grid-10x10", inst, np.full(inst.m, 0.5), spec,
@@ -359,7 +359,7 @@ def test_criterion_11_synthetic_grid_study():
     grid, _ = pn.grid_region_scenario(poly, 1.0, seed=7)
     terminals = pn.pick_terminals(grid, 20)
     demands = pn.demands_by_threshold(grid, terminals)
-    inst = pn.instance_of_grid(grid, demands)
+    inst = pn.graph_instance(list(grid.node_ids), list(grid.edges), demands)
     assert 330 <= inst.n <= 470 and len(terminals.terminals) == 20
     assert any(d.amount == 7.0 for d in demands)
 

@@ -200,18 +200,18 @@ def test_brute_force_single_edge(single_edge):
 
 
 def test_brute_force_full_matches_symmetric_on_ring(ring):
-    full_val = pn.brute_force_min_lyapunov(ring.instance, mode="full")
+    full_val = pn.min_lyapunov_search(ring.instance, mode="full")[0]
     assert abs(full_val - SQRT6) <= 1e-6
 
 
 def test_brute_force_dimension_guard():
     scen = pn.bowtie_scenario(8.0)
     with pytest.raises(ScenarioError):
-        pn.brute_force_min_lyapunov(scen.instance, mode="full")
+        pn.min_lyapunov_search(scen.instance, mode="full")[0]
     with pytest.raises(ScenarioError, match="needs m <= 4"):
-        pn.brute_force_min_lyapunov(scen.instance)
+        pn.min_lyapunov_search(scen.instance)[0]
     with pytest.raises(ScenarioError, match="unknown brute-force mode"):
-        pn.brute_force_min_lyapunov(scen.instance, mode="nope")
+        pn.min_lyapunov_search(scen.instance, mode="nope")[0]
 
 
 def test_relative_entropy():

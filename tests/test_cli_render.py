@@ -257,6 +257,27 @@ def test_cli_certify_early_stop_has_gap(tmp_path, ring_path, capsys):
     assert payload["gap"] > 1e-3
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_cli_certify_bad_gap_tol_is_config_error(ring_path, capsys, tol):
+    # refused before the run: a NaN or negative tolerance fails every
+    # certificate, and NaN or inf would print as invalid JSON
+    assert run_cli("certify", "--scenario", ring_path, "--gap-tol", tol) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err == {"error": f"--gap-tol must be nonnegative and finite, not {float(tol)}",
+                   "kind": "config"}
+
+
+def test_cli_certify_scenario_solver_failure(ring_path, capsys):
+    # a tolerance no solve reaches fails the run's first solve
+    assert run_cli("certify", "--scenario", ring_path, "--solve-tol", "1e-30") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["kind"] == "solver" and err["error"].startswith("step 0: ")
+
+
 def test_cli_certify_from_run_dir(tmp_path, ring_path, capsys):
     out = tmp_path / "run"
     assert run_cli("run", "--scenario", ring_path, "--out", out,
@@ -363,8 +384,18 @@ def test_cli_bad_number_flags_are_config_errors(tmp_path, capsys, argv, flag):
     (("run", "--stop-tol", "nan"), "stop_tol and capacity_floor must be positive and finite"),
     (("gen-scenario", "--kind", "grid", "--seed", "-2"), "--seed must be nonnegative, not -2"),
     (("gen-scenario", "--kind", "grid", "--spacing", "nan"), "spacing must be positive and finite"),
+    (("gen-scenario", "--kind", "grid", "--spacing", "2", "--initial-capacity", "nan"),
+     "initial capacity must be positive and finite"),
+    (("gen-scenario", "--kind", "grid", "--spacing", "2", "--initial-capacity", "0"),
+     "initial capacity must be positive and finite"),
+    (("gen-scenario", "--kind", "grid", "--spacing", "2", "--initial-capacity", "-1"),
+     "initial capacity must be positive and finite"),
+    (("gen-scenario", "--kind", "grid", "--spacing", "2", "--threshold-fraction", "nan"),
+     "threshold must be positive"),
 ], ids=["record-every-zero", "run-seed-negative", "capacity-floor-nan", "stop-tol-nan",
-        "gen-scenario-seed-negative", "gen-scenario-spacing-nan"])
+        "gen-scenario-seed-negative", "gen-scenario-spacing-nan",
+        "gen-scenario-initial-capacity-nan", "gen-scenario-initial-capacity-zero",
+        "gen-scenario-initial-capacity-negative", "gen-scenario-threshold-nan"])
 def test_cli_bad_flag_values_are_config_errors(tmp_path, ring_path, capsys, argv, message):
     if argv[0] == "run":
         argv = (*argv, "--scenario", ring_path, "--max-steps", "50")
@@ -472,7 +503,8 @@ def test_cli_run_first_solve_failure_writes_state(tmp_path, ring_path,
 
 def test_cli_run_divergence_writes_state(tmp_path, ring_path, monkeypatch, capsys):
     # a right-hand side that grows x diverges within a few steps; the run
-    # still fails, but leaves the state at which the bound was crossed
+    # still fails, but leaves the state at which the bound was crossed and
+    # the trajectory up to it
     monkeypatch.setattr(pn.dynamics, "rhs",
                         lambda instance, x, solution, spec, **kw: np.asarray(x))
     out = tmp_path / "run"
@@ -486,6 +518,41 @@ def test_cli_run_divergence_writes_state(tmp_path, ring_path, monkeypatch, capsy
     x0 = pn.load_scenario(ring_path).sample_x0(seed=0)
     assert np.allclose(state["x"], x0 * 1.5 ** state["steps"], rtol=1e-12, atol=0)
     assert (out / "scenario.json").exists() and not (out / "report.json").exists()
+    rows = (out / "trajectory.csv").read_text().strip().splitlines()
+    assert float(rows[-1].split(",")[0]) == state["steps"] * 0.5
+
+
+def test_cli_certify_and_sweep_report_divergence(tmp_path, ring_path, monkeypatch,
+                                                 capsys):
+    # certify fails a diverged run as a runtime error; sweep gives its L a
+    # NaN row and goes on
+    monkeypatch.setattr(pn.dynamics, "rhs",
+                        lambda instance, x, solution, spec, **kw: np.asarray(x))
+    assert run_cli("certify", "--scenario", ring_path, "--h", "0.5",
+                   "--max-steps", "10000") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["kind"] == "runtime" and "exceeds bounded-domain limit" in err["error"]
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--values", "8", "--out", out, "--h", "0.5",
+                   "--max-steps", "10000") == 0
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "sweep-value" and err["error"].startswith("L=8: step ")
+    assert (out / "sweep_summary.csv").read_text().splitlines()[1] == "8" + ",nan" * 7
+
+
+def test_cli_sweep_failed_values_are_nan_rows(tmp_path, capsys):
+    # a tolerance no solve reaches fails each L value: it gets a NaN row and
+    # one sweep-value line on stderr, and the sweep itself succeeds
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--values", "8,9", "--out", out, "--solve-tol", "1e-30") == 0
+    errs = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+    assert [e["kind"] for e in errs] == ["sweep-value"] * 2
+    assert [e["error"][:len("L=8: step 0: ")] for e in errs] == ["L=8: step 0: ",
+                                                                "L=9: step 0: "]
+    lines = (out / "sweep_summary.csv").read_text().splitlines()
+    assert lines[1:] == ["8" + ",nan" * 7, "9" + ",nan" * 7]
 
 
 def test_cli_sweep_summary(tmp_path):

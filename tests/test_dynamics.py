@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import physanet as pn
 from physanet.dynamics import DynamicsKind, GFunction
-from physanet.errors import DivergenceError, ScenarioError
+from physanet.errors import ScenarioError
 
 from conftest import random_graph_instance
 
@@ -283,14 +283,17 @@ def test_divergence_caught_at_the_step_it_happens(ring, monkeypatch):
     for kind, bound in ((K.TWO_NORM, "bounded-domain limit"),
                         (K.ONE_NORM, "flow-bound limit")):
         spec = pn.DynamicsSpec(kind=kind, h=0.5, max_steps=10_000)
-        with pytest.raises(DivergenceError, match=r"^step (\d+):") as err:
-            pn.run(ring.instance, np.ones(3), spec,
-                   pn.DiagnosticsConfig(record_every=2000))
-        assert bound in err.value.args[0]
-        assert 0 < int(err.value.args[0].split()[1].rstrip(":")) < 10
-        # the error carries the step and the state at which it was raised
-        assert err.value.step == int(err.value.args[0].split()[1].rstrip(":"))
-        assert np.array_equal(err.value.x, np.full(3, 1.5 ** err.value.step))
+        traj = pn.run(ring.instance, np.ones(3), spec,
+                      pn.DiagnosticsConfig(record_every=2000))
+        assert traj.status == pn.TerminalStatus.DIVERGED
+        assert 0 < traj.steps < 10
+        assert traj.message.startswith(f"step {traj.steps}: cost term ")
+        assert bound in traj.message
+        # the state at which the bound was crossed is recorded, between
+        # record points, with its solve
+        assert [r.t for r in traj.records] == [0.0, traj.steps * spec.h]
+        assert np.array_equal(traj.final_x, np.full(3, 1.5 ** traj.steps))
+        assert traj.final_solution is not None
 
 
 def test_one_norm_on_many_commodities_is_not_stopped_as_divergent(tokyo):
@@ -435,8 +438,8 @@ def test_run_restores_blas_threads_after_divergence(ring, monkeypatch,
     monkeypatch.setattr(pn.dynamics, "rhs",
                         lambda instance, x, solution, spec, **kw: np.asarray(x))
     spec = pn.DynamicsSpec(kind=K.TWO_NORM, h=0.5, max_steps=10_000)
-    with pytest.raises(DivergenceError):
-        pn.run(ring.instance, np.ones(3), spec)
+    traj = pn.run(ring.instance, np.ones(3), spec)
+    assert traj.status == pn.TerminalStatus.DIVERGED
     assert seen and all(counts == [1] * len(blas_two_threads) for counts in seen)
     assert _blas_thread_counts(blas_two_threads) == [2] * len(blas_two_threads)
 

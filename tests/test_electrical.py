@@ -188,7 +188,7 @@ def test_solvers_cross_check_on_grid(factorization):
     sols = {}
     for kind in ("band", "splu"):
         factorization(kind)
-        inst = pn.instance_of_grid(grid, demands)
+        inst = pn.graph_instance(list(grid.node_ids), list(grid.edges), demands)
         x = np.random.default_rng(0).uniform(0.2, 1.5, size=inst.m)
         sols[kind] = pn.solve_commodities(inst, x)
     assert np.abs(sols["splu"].Q - sols["band"].Q).max() <= 1e-7

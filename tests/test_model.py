@@ -28,7 +28,7 @@ TRIANGLE_DOC = {
 
 
 def test_load_triangle():
-    inst = pn.load_instance(TRIANGLE_DOC)
+    inst = pn.load_scenario(TRIANGLE_DOC).instance
     assert (inst.n, inst.m, inst.k) == (3, 3, 3)
     assert inst.is_incidence
     # incidence columns sum to zero
@@ -39,7 +39,7 @@ def test_load_single_edge():
     doc = {"nodes": ["u", "v"],
            "edges": [{"u": "u", "v": "v", "cost": 1.0}],
            "demands": [{"source": "u", "sink": "v", "amount": 1.0}]}
-    inst = pn.load_instance(doc)
+    inst = pn.load_scenario(doc).instance
     assert (inst.n, inst.m, inst.k) == (2, 1, 1)
     assert np.allclose(inst.B[:, 0], [1.0, -1.0])
 
@@ -50,17 +50,17 @@ def test_demand_across_components_rejected():
                      {"u": "c", "v": "d", "cost": 1.0}],
            "demands": [{"source": "a", "sink": "c", "amount": 1.0}]}
     with pytest.raises(InfeasibleDemandError):
-        pn.load_instance(doc)
+        pn.load_scenario(doc).instance
 
 
 def test_incidence_of_graph_path():
-    A = pn.incidence_of_graph(["u", "v", "w"], [("u", "v"), ("v", "w")])
+    A = pn.graph_instance(["u", "v", "w"], [("u", "v", 1.0), ("v", "w", 1.0)], []).A
     assert np.array_equal(A.toarray(), [[1, 0], [-1, 1], [0, -1]])
 
 
 def test_incidence_of_graph_triangle_column_sums():
-    A = pn.incidence_of_graph(["a", "b", "c"],
-                              [("a", "b"), ("b", "c"), ("c", "a")])
+    A = pn.graph_instance(["a", "b", "c"],
+                          [("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)], []).A
     assert np.allclose(A.sum(axis=0), 0.0)
 
 
@@ -71,14 +71,14 @@ def test_incidence_bowtie_shape():
 
 def test_incidence_rejects_self_loop():
     with pytest.raises(ScenarioError):
-        pn.incidence_of_graph(["u", "v"], [("u", "u")])
+        pn.graph_instance(["u", "v"], [("u", "u", 1.0)], [])
 
 
 def test_nonpositive_cost_rejected():
     doc = dict(TRIANGLE_DOC)
     doc["edges"] = [{"u": "a", "v": "b", "cost": -1.0}] + TRIANGLE_DOC["edges"][1:]
     with pytest.raises(ScenarioError):
-        pn.load_instance(doc)
+        pn.load_scenario(doc).instance
 
 
 def test_max_flow_bound_incidence_unit_demand(single_edge):
@@ -184,7 +184,7 @@ def test_mixed_variant_rejected():
 def test_duplicate_demands_are_distinct_commodities():
     doc = dict(TRIANGLE_DOC)
     doc["demands"] = TRIANGLE_DOC["demands"] + [TRIANGLE_DOC["demands"][0]]
-    inst = pn.load_instance(doc)
+    inst = pn.load_scenario(doc).instance
     assert inst.k == 4
     assert np.array_equal(inst.B[:, 0], inst.B[:, 3])
 
@@ -198,7 +198,7 @@ TOKYO = Path(__file__).resolve().parents[1] / "scenarios" / "tokyo_like_syntheti
 
 
 def test_graph_instance_stores_read_only_csr(ring):
-    inst = pn.load_instance(TOKYO)
+    inst = pn.load_scenario(TOKYO).instance
     assert isinstance(inst.A, sp.csr_matrix)
     assert inst.A.nnz == 2 * inst.m
     with pytest.raises(ValueError):
@@ -236,7 +236,7 @@ def _assert_is_reference(inst, names, edges, demands):
 
 def test_graph_instance_matches_column_by_column_reference():
     rng = np.random.default_rng(17)
-    cases = [graph_parts(pn.load_instance(TOKYO))]
+    cases = [graph_parts(pn.load_scenario(TOKYO).instance)]
     cases += [graph_parts(random_graph_instance(rng, k_max=4)) for _ in range(20)]
     cases.append((["u", "v", "w"], [("u", "v", 1.0), ("w", "v", 2.0)], []))
     for names, edges, demands in cases:
@@ -362,7 +362,7 @@ def test_one_line_json_text_loads_like_the_file():
 
 
 def _triangle_parts():
-    inst = pn.load_instance(TRIANGLE_DOC)
+    inst = pn.load_scenario(TRIANGLE_DOC).instance
     return inst.A.toarray(), inst.c, inst.B, list(inst.edge_meta), inst.node_ids
 
 
@@ -391,14 +391,6 @@ def test_incidence_validation_rejects(defect):
         meta[0] = pn.EdgeMeta("a", "a", "a-a")
     with pytest.raises(ScenarioError):
         pn.Instance(A=A, c=c, B=B, edge_meta=tuple(meta), node_ids=nodes)
-
-
-def test_capacity_state_validation():
-    pn.CapacityState(x=np.array([1.0, 2.0]), t=0.0)
-    with pytest.raises(ScenarioError):
-        pn.CapacityState(x=np.array([1.0, 0.0]))
-    with pytest.raises(ScenarioError):
-        pn.CapacityState(x=np.array([1.0]), t=-1.0)
 
 
 def test_demand_spec_validation():

@@ -146,6 +146,18 @@ def test_demands_by_threshold_hub_and_cutoff():
     assert {demands[0].source, demands[0].sink} == {near_a, near_b}
 
 
+def test_grid_scenario_parts_refuse_nan_and_nonpositive_values():
+    # what the CLI cannot catch later: a NaN threshold makes no demands, and
+    # a bad initial capacity makes a file that loading refuses
+    grid, _ = pn.grid_region_scenario([(0.5, 0.5), (3.5, 0.5), (3.5, 3.5)], 1.0, seed=1)
+    for threshold, weight in ((math.nan, 1.0), (0.0, 1.0), (1.0, math.nan), (1.0, 0.0)):
+        with pytest.raises(ScenarioError, match="must be positive"):
+            pn.TerminalSet(terminals=(("n0", weight),), threshold=threshold)
+    for value in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ScenarioError, match="initial capacity must be positive and finite"):
+            pn.grid_scenario(grid, [], initial_capacity=value)
+
+
 def test_pick_terminals_spread_and_hub():
     poly = pn.synthetic_region_polygon()
     grid, _ = pn.grid_region_scenario(poly, 1.0, seed=7)
